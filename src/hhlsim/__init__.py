@@ -6,6 +6,8 @@ reference (classical solvers), nmr (spin-system models and spectra),
 tomography (readout-pulse protocols), cli/config (experiment runner).
 """
 
+__version__ = "0.1.0"
+
 from . import circuit, cli, config, errors, hhl, nmr, qcore, reference, tomography
 from .hhl import (
     LinearSystem,
@@ -20,8 +22,6 @@ from .hhl import (
 )
 from .qcore import DensityMatrix, PureState, expectation_value, fidelity, partial_trace
 from .reference import conjugate_gradient, direct_solve
-
-__version__ = "0.1.0"
 
 __all__ = [
     "circuit",

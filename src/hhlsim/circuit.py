@@ -24,7 +24,6 @@ from .errors import (
 from .qcore import DensityMatrix, PureState
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-_S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -34,19 +33,6 @@ _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 @dataclass(frozen=True)
 class Hadamard:
     qubit: int
-
-
-@dataclass(frozen=True)
-class PhaseS:
-    """The S = diag(1, i) phase gate."""
-
-    qubit: int
-
-
-@dataclass(frozen=True)
-class RotationY:
-    qubit: int
-    theta: float
 
 
 @dataclass(frozen=True)
@@ -108,11 +94,11 @@ class ArbitraryUnitary:
         object.__setattr__(self, "matrix", qcore._freeze(m))
 
 
-Gate = Union[Hadamard, PhaseS, RotationY, Swap, ControlledUnitary, ArbitraryUnitary]
+Gate = Union[Hadamard, Swap, ControlledUnitary, ArbitraryUnitary]
 
 
 def gate_qubits(g: Gate) -> tuple[int, ...]:
-    if isinstance(g, (Hadamard, PhaseS, RotationY)):
+    if isinstance(g, Hadamard):
         return (g.qubit,)
     if isinstance(g, Swap):
         return (g.qubit_a, g.qubit_b)
@@ -125,10 +111,6 @@ def _gate_block(g: Gate) -> tuple[tuple[int, ...], np.ndarray]:
     """Target qubits and the matrix applied to them (controls handled separately)."""
     if isinstance(g, Hadamard):
         return (g.qubit,), _H
-    if isinstance(g, PhaseS):
-        return (g.qubit,), _S
-    if isinstance(g, RotationY):
-        return (g.qubit,), qcore.rotation_y(g.theta)
     if isinstance(g, (ControlledUnitary, ArbitraryUnitary)):
         return g.targets, g.matrix
     raise TypeError(f"unsupported gate {g!r}")
@@ -137,10 +119,6 @@ def _gate_block(g: Gate) -> tuple[tuple[int, ...], np.ndarray]:
 def gate_inverse(g: Gate) -> Gate:
     if isinstance(g, (Hadamard, Swap)):
         return g
-    if isinstance(g, PhaseS):
-        return ArbitraryUnitary((g.qubit,), _S.conj().T)
-    if isinstance(g, RotationY):
-        return RotationY(g.qubit, -g.theta)
     if isinstance(g, ControlledUnitary):
         return ControlledUnitary(g.controls, g.targets, g.matrix.conj().T)
     if isinstance(g, ArbitraryUnitary):
@@ -253,10 +231,6 @@ def qft(t: int) -> Circuit:
     for i in range(t // 2):
         gates.append(Swap(i, t - 1 - i))
     return Circuit(t, tuple(gates))
-
-
-def inverse_qft(t: int) -> Circuit:
-    return qft(t).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +462,6 @@ def circuit_to_text(c: Circuit) -> str:
     for g in c.gates:
         if isinstance(g, Hadamard):
             lines.append(f"H {g.qubit}")
-        elif isinstance(g, PhaseS):
-            lines.append(f"S {g.qubit}")
-        elif isinstance(g, RotationY):
-            lines.append(f"RY {g.qubit} {g.theta!r}")
         elif isinstance(g, Swap):
             lines.append(f"SWAP {g.qubit_a} {g.qubit_b}")
         elif isinstance(g, ControlledUnitary):
@@ -522,10 +492,6 @@ def circuit_from_text(text: str) -> Circuit:
             registers[parts[1]] = tuple(int(p) for p in parts[2:])
         elif kind == "H":
             gates.append(Hadamard(int(parts[1])))
-        elif kind == "S":
-            gates.append(PhaseS(int(parts[1])))
-        elif kind == "RY":
-            gates.append(RotationY(int(parts[1]), float(parts[2])))
         elif kind == "SWAP":
             gates.append(Swap(int(parts[1]), int(parts[2])))
         elif kind == "CU":

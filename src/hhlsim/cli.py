@@ -15,14 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__, nmr, tomography
 from . import circuit as qcirc
-from . import nmr, tomography
 from .config import RunSettings, load_config
-from .errors import ConfigParseError, HhlsimError
-from .hhl import build_circuit, run_hhl, sweep_r, sweep_t0, theoretical_final_state
+from .errors import ConfigParseError
+from .hhl import run_hhl, sweep_r, sweep_t0, theoretical_final_state
 from .qcore import fidelity
-
-VERSION = "0.1.0"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,21 +52,7 @@ def _apply_overrides(settings: RunSettings, args) -> RunSettings:
         noise = replace(noise, seed=args.seed)
     if settings.tomography.noise_sigma > 0.0 and noise.seed is None:
         raise ConfigParseError("stochastic readout noise requires a seed")
-    return replace_settings(settings, solver=solver, noise=noise)
-
-
-def replace_settings(settings: RunSettings, **kwargs) -> RunSettings:
-    fields = {
-        "system": settings.system,
-        "solver": settings.solver,
-        "noise": settings.noise,
-        "molecule": settings.molecule,
-        "sweep": settings.sweep,
-        "tomography": settings.tomography,
-        "raw_text": settings.raw_text,
-    }
-    fields.update(kwargs)
-    return RunSettings(**fields)
+    return replace(settings, solver=solver, noise=noise)
 
 
 def _noise_builder(settings: RunSettings):
@@ -117,8 +101,7 @@ def cmd_solve(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
     payload["noise_enabled"] = settings.noise.enabled
     outputs = ["solve_report.json", "circuit.txt"]
     _write_json(out / "solve_report.json", payload)
-    pipeline = build_circuit(settings.system, settings.solver)
-    _write_text(out / "circuit.txt", qcirc.circuit_to_text(pipeline))
+    _write_text(out / "circuit.txt", qcirc.circuit_to_text(report.circuit))
     rho = _final_density(report)
     if settings.molecule is not None and rho.n_qubits == 4:
         spectrum = nmr.synthesize_spectrum(rho, settings.molecule)
@@ -130,11 +113,8 @@ def cmd_solve(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
 def cmd_sweep(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
     if settings.sweep is None:
         raise ConfigParseError("sweep command needs a [sweep] section")
-    mode = settings.solver.rotation_mode
-    if settings.sweep.parameter == "r":
-        rows = sweep_r(settings.system, [int(v) for v in settings.sweep.values], mode, base_config=settings.solver)
-    else:
-        rows = sweep_t0(settings.system, settings.sweep.values, mode, base_config=settings.solver)
+    sweep = sweep_r if settings.sweep.parameter == "r" else sweep_t0
+    rows = sweep(settings.system, settings.sweep.values, settings.solver.rotation_mode, base_config=settings.solver)
     lines = ["parameter,value,max_rel_error,success_probability"]
     lines.extend(
         f"{row.parameter},{row.value!r},{row.max_rel_error!r},{row.success_probability!r}" for row in rows
@@ -238,7 +218,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         payload, outputs = _COMMANDS[args.command](settings, out)
         manifest = {
-            "version": VERSION,
+            "version": __version__,
             "command": args.command,
             "config": settings.raw_text,
             "overrides": {"mode": args.mode, "noise": args.noise, "seed": args.seed},

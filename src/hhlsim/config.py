@@ -158,11 +158,7 @@ def _load_molecule(parser: configparser.ConfigParser) -> nmr.MoleculeParams | No
         return None
     section = parser["molecule"]
     shifts = dict(nmr._SHIFT_ANCHORS)
-    slopes = dict(nmr._DRIFT_SLOPES)
-    for key, nucleus in (("shift_c", "C"), ("shift_f1", "F1"), ("shift_f2", "F2"), ("shift_f3", "F3")):
-        shifts[nucleus] = _parse_float(section, key, shifts[nucleus])
-    for key, nucleus in (("slope_c", "C"), ("slope_f1", "F1"), ("slope_f2", "F2"), ("slope_f3", "F3")):
-        slopes[nucleus] = _parse_float(section, key, slopes[nucleus])
+    shifts["C"] = _parse_float(section, "shift_c", shifts["C"])
     t2_raw = section.get("t2_star_ms")
     t2 = tuple(float(x) for x in t2_raw.split()) if t2_raw else nmr._DEFAULT_T2_STAR_MS
     j_raw = section.get("j_couplings")
@@ -170,7 +166,6 @@ def _load_molecule(parser: configparser.ConfigParser) -> nmr.MoleculeParams | No
     try:
         return nmr.MoleculeParams(
             chemical_shifts=shifts,
-            drift_slopes=slopes,
             t2_star_ms=t2,
             j_couplings=j,
             linewidth=_parse_float(section, "linewidth", 1.0),

@@ -144,6 +144,11 @@ def _require_exact(sys: LinearSystem, cfg: SolverConfig) -> np.ndarray:
     return np.round(k).astype(int)
 
 
+def _clock_pattern(value: int, t: int) -> tuple[tuple[int, int], ...]:
+    """Controls requiring the t-qubit clock to hold ``value`` (qubit 0 = MSB)."""
+    return tuple((q, (value >> (t - 1 - q)) & 1) for q in range(t))
+
+
 def conditional_evolution(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
     """Controlled blocks realizing sum_tau |tau><tau| (x) exp(-i A tau t0 / 2^t).
 
@@ -158,8 +163,7 @@ def conditional_evolution(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
     gates: list[Gate] = []
     for tau in range(big_t):
         u = qcore.matrix_exp_hermitian(sys.a, tau * cfg.t0 / big_t)
-        controls = tuple((q, (tau >> (t - 1 - q)) & 1) for q in range(t))
-        gates.append(ControlledUnitary(controls, targets, u))
+        gates.append(ControlledUnitary(_clock_pattern(tau, t), targets, u))
     return gates
 
 
@@ -197,8 +201,31 @@ def clock_leakage(state: PureState, sys: LinearSystem, cfg: SolverConfig) -> flo
 # Eigenvalue inversion
 
 
-def _ry_block(theta: float) -> np.ndarray:
-    return qcore.rotation_y(theta)
+def _inversion_rotation(cfg: SolverConfig, lam):
+    """The ancilla rotation that inverts eigenvalue(s) ``lam``.
+
+    Returns (theta, sin(theta/2), cos(theta/2)).  Linear mode sets
+    theta = (2*pi/2^r)/lambda; exact mode sets sin(theta/2) =
+    c_tilde/lambda.  resolve_config keeps that ratio <= 1 on every
+    eigenvalue; a clock label no eigenvalue occupies may exceed it, which
+    the returned sin(theta/2) reports unclipped.
+    """
+    if cfg.rotation_mode == "linear":
+        theta = (TWO_PI / 2**cfg.r) / lam
+        return theta, np.sin(theta / 2.0), np.cos(theta / 2.0)
+    if cfg.c_tilde is None:
+        raise ValueError("exact mode needs c_tilde (resolve_config fills the default)")
+    sin_half = cfg.c_tilde / lam
+    clipped = np.minimum(sin_half, 1.0)
+    return 2.0 * np.arcsin(clipped), sin_half, np.sqrt(1.0 - clipped**2)
+
+
+def _rotation_gates(cfg: SolverConfig, lam: float, controls, ancilla: int) -> list[Gate]:
+    """Controlled Ry on the ancilla for eigenvalue ``lam``; none if c_tilde/lam > 1."""
+    theta, sin_half, _ = _inversion_rotation(cfg, lam)
+    if sin_half > 1.0 + 1e-12:
+        return []  # no valid rotation; such labels carry no amplitude
+    return [ControlledUnitary(controls, (ancilla,), qcore.rotation_y(theta))]
 
 
 def eigenvalue_inversion_gates(
@@ -227,22 +254,18 @@ def eigenvalue_inversion_gates(
         )
     ancilla = t + n_solution_qubits
     gates: list[Gate] = [Swap(0, 1)]
+
+    def swapped_eigenvalue(m: int) -> float:
+        # after the swap, clock value m holds the eigenvalue encoded as 2/m
+        return 2.0 * TWO_PI / (cfg.t0 * m)
+
     if cfg.rotation_mode == "linear":
-        base = cfg.t0 / 2 ** (cfg.r + 1)
+        # theta is linear in m, so per-bit rotations weighted by place sum to it
         for q in range(t):
-            place = 2 ** (t - 1 - q)
-            gates.append(ControlledUnitary(((q, 1),), (ancilla,), _ry_block(base * place)))
+            gates += _rotation_gates(cfg, swapped_eigenvalue(2 ** (t - 1 - q)), ((q, 1),), ancilla)
     else:
-        if cfg.c_tilde is None:
-            raise ValueError("exact mode needs c_tilde (resolve_config fills the default)")
         for m in range(1, 2**t):
-            lam = 4.0 * np.pi / (cfg.t0 * m)
-            arg = cfg.c_tilde / lam
-            if arg > 1.0 + 1e-12:
-                continue  # no valid rotation; such labels carry no amplitude
-            theta = 2.0 * np.arcsin(min(arg, 1.0))
-            controls = tuple((q, (m >> (t - 1 - q)) & 1) for q in range(t))
-            gates.append(ControlledUnitary(controls, (ancilla,), _ry_block(theta)))
+            gates += _rotation_gates(cfg, swapped_eigenvalue(m), _clock_pattern(m, t), ancilla)
     return gates
 
 
@@ -256,18 +279,7 @@ def _general_inversion_gates(cfg: SolverConfig, n_solution_qubits: int) -> list[
     ancilla = t + n_solution_qubits
     gates: list[Gate] = []
     for k in range(1, 2**t):
-        lam = TWO_PI * k / cfg.t0
-        if cfg.rotation_mode == "linear":
-            theta = (TWO_PI / 2**cfg.r) / lam
-        else:
-            if cfg.c_tilde is None:
-                raise ValueError("exact mode needs c_tilde (resolve_config fills the default)")
-            arg = cfg.c_tilde / lam
-            if arg > 1.0 + 1e-12:
-                continue
-            theta = 2.0 * np.arcsin(min(arg, 1.0))
-        controls = tuple((q, (k >> (t - 1 - q)) & 1) for q in range(t))
-        gates.append(ControlledUnitary(controls, (ancilla,), _ry_block(theta)))
+        gates += _rotation_gates(cfg, TWO_PI * k / cfg.t0, _clock_pattern(k, t), ancilla)
     return gates
 
 
@@ -283,14 +295,15 @@ def resolve_config(sys: LinearSystem, cfg: SolverConfig) -> SolverConfig:
     if cfg.rotation_mode != "exact":
         return cfg
     lam_min = float(sys.spectrum.eigenvalues.min())
-    if cfg.c_tilde is None:
-        return replace(cfg, c_tilde=lam_min)
-    if cfg.c_tilde > lam_min + 1e-9:
+    if cfg.c_tilde is not None and cfg.c_tilde > lam_min + 1e-9:
         raise ValueError(f"c_tilde {cfg.c_tilde} exceeds the smallest eigenvalue {lam_min}")
+    if cfg.c_tilde is None or cfg.c_tilde > lam_min:
+        # clamp the tolerated excess so c_tilde/lambda <= 1 on every eigenvalue
+        return replace(cfg, c_tilde=lam_min)
     return cfg
 
 
-def build_circuit(sys: LinearSystem, cfg: SolverConfig, *, use_swap_path: bool | None = None) -> Circuit:
+def build_circuit(sys: LinearSystem, cfg: SolverConfig) -> Circuit:
     """Assemble the full pipeline circuit (measurement excluded).
 
     The uncompute block starts by undoing the inversion-stage clock swap
@@ -301,10 +314,8 @@ def build_circuit(sys: LinearSystem, cfg: SolverConfig, *, use_swap_path: bool |
     _check_representable(sys, cfg)
     t, nb = cfg.clock_qubits, sys.n_solution_qubits
     n = t + nb + 1
-    if use_swap_path is None:
-        use_swap_path = swap_path_available(sys, cfg)
     qpe = _qpe_circuit(sys, cfg, n)
-    if use_swap_path:
+    if swap_path_available(sys, cfg):
         labels = np.round(encoded_eigenvalues(sys, cfg)).astype(int)
         inversion = eigenvalue_inversion_gates(cfg, nb, encoded_values=labels)
         inversion.append(Swap(0, 1))
@@ -323,24 +334,11 @@ def build_circuit(sys: LinearSystem, cfg: SolverConfig, *, use_swap_path: bool |
 # Ideal final state and metrics
 
 
-def _branch_amplitudes(sys: LinearSystem, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-eigenvalue ancilla (|0>, |1>) amplitudes of the ideal output."""
-    lam = sys.spectrum.eigenvalues
-    if cfg.rotation_mode == "linear":
-        theta = (TWO_PI / 2**cfg.r) / lam
-        sin_part = np.sin(theta / 2.0)
-        cos_part = np.cos(theta / 2.0)
-    else:
-        sin_part = cfg.c_tilde / lam
-        cos_part = np.sqrt(1.0 - sin_part**2)
-    return cos_part, sin_part
-
-
 def _ideal_final_state(sys: LinearSystem, cfg: SolverConfig) -> PureState:
     cfg = resolve_config(sys, cfg)
     t, nb = cfg.clock_qubits, sys.n_solution_qubits
     beta = sys.expansion_coefficients()
-    cos_part, sin_part = _branch_amplitudes(sys, cfg)
+    _, sin_part, cos_part = _inversion_rotation(cfg, sys.spectrum.eigenvalues)
     clock0 = np.zeros(2**t, dtype=complex)
     clock0[0] = 1.0
     amp = np.zeros(2 ** (t + nb + 1), dtype=complex)
@@ -368,8 +366,8 @@ def effective_rotation_constant(eigenvalues, r: int) -> float:
     about 0.736 for the demonstration spectrum (1, 2) at r = 2.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    theta = (TWO_PI / 2**r) / lam
-    return float(np.mean(lam * np.sin(theta / 2.0)))
+    _, sin_half, _ = _inversion_rotation(SolverConfig(r=r), lam)
+    return float(np.mean(lam * sin_half))
 
 
 def max_relative_error(x_exp, x_theory) -> float:
@@ -400,6 +398,7 @@ class SolveReport:
     clock_residual: float
     final_state: PureState | None = None
     final_density: DensityMatrix | None = None
+    circuit: Circuit | None = None
 
     @property
     def solution_ratio_sq(self) -> float:
@@ -438,16 +437,15 @@ def run_hhl(
     sys: LinearSystem,
     cfg: SolverConfig,
     *,
-    noise: Sequence[qcirc.NoiseEvent] | None = None,
     noise_builder=None,
 ) -> SolveReport:
     """Run the six-stage pipeline and compare against the direct solve.
 
-    ``noise`` routes the run through the density-matrix engine with the
-    given schedule; ``noise_builder`` may instead be a callable mapping the
-    assembled circuit to a schedule (so schedules can depend on gate
-    count).  x_quantum is the renormalized solution-register state
-    conditioned on ancilla = 1 with the clock traced out.
+    ``noise_builder``, a callable mapping the assembled circuit to a noise
+    schedule (so schedules can depend on gate count), routes the run
+    through the density-matrix engine.  x_quantum is the renormalized
+    solution-register state conditioned on ancilla = 1 with the clock
+    traced out.
     """
     cfg = resolve_config(sys, cfg)
     c = build_circuit(sys, cfg)
@@ -457,10 +455,7 @@ def run_hhl(
     b_indices = list(range(t, t + nb))
     initial = basis_state(t, 0).tensor(PureState(sys.b)).tensor(basis_state(1, 0))
 
-    if noise_builder is not None:
-        noise = noise_builder(c)
-
-    if noise is None:
+    if noise_builder is None:
         final = qcirc.run_circuit(initial, c)
         clock_mass = final.probabilities().reshape(2**t, -1).sum(axis=1)
         clock_residual = float(1.0 - clock_mass[0])
@@ -469,8 +464,7 @@ def run_hhl(
         final_density = None
         rho_final = final.density()
     else:
-        rho0 = initial.density()
-        rho_final = qcirc.evolve_density(rho0, c, noise)
+        rho_final = qcirc.evolve_density(initial.density(), c, noise_builder(c))
         clock_mass = rho_final.populations().reshape(2**t, -1).sum(axis=1)
         clock_residual = float(1.0 - clock_mass[0])
         prob, post_rho = qcirc.measure_qubit(rho_final, ancilla, 1)
@@ -495,6 +489,7 @@ def run_hhl(
         clock_residual=clock_residual,
         final_state=final,
         final_density=final_density,
+        circuit=c,
     )
 
 
@@ -510,6 +505,15 @@ class SweepRow:
     success_probability: float
 
 
+def _sweep(sys, parameter: str, cast, values, mode: str, base_config: SolverConfig | None) -> list[SweepRow]:
+    cfg0 = base_config if base_config is not None else SolverConfig(rotation_mode=mode)
+    rows = []
+    for value in values:
+        report = run_hhl(sys, replace(cfg0, rotation_mode=mode, **{parameter: cast(value)}))
+        rows.append(SweepRow(parameter, float(value), report.max_rel_error, report.success_probability))
+    return rows
+
+
 def sweep_r(
     sys: LinearSystem,
     r_values: Sequence[int],
@@ -518,13 +522,7 @@ def sweep_r(
     base_config: SolverConfig | None = None,
 ) -> list[SweepRow]:
     """One pipeline run per rotation parameter r."""
-    cfg0 = base_config if base_config is not None else SolverConfig(rotation_mode=mode)
-    rows = []
-    for r in r_values:
-        cfg = replace(cfg0, r=int(r), rotation_mode=mode)
-        report = run_hhl(sys, cfg)
-        rows.append(SweepRow("r", float(r), report.max_rel_error, report.success_probability))
-    return rows
+    return _sweep(sys, "r", int, r_values, mode, base_config)
 
 
 def sweep_t0(
@@ -535,13 +533,7 @@ def sweep_t0(
     base_config: SolverConfig | None = None,
 ) -> list[SweepRow]:
     """One pipeline run per evolution time scale t0 (approximate encodings allowed)."""
-    cfg0 = base_config if base_config is not None else SolverConfig(rotation_mode=mode)
-    rows = []
-    for t0 in t0_values:
-        cfg = replace(cfg0, t0=float(t0), rotation_mode=mode)
-        report = run_hhl(sys, cfg)
-        rows.append(SweepRow("t0", float(t0), report.max_rel_error, report.success_probability))
-    return rows
+    return _sweep(sys, "t0", float, t0_values, mode, base_config)
 
 
 def theta_for_target_ratio(sys: LinearSystem, ratio_sq: float) -> float:

@@ -47,12 +47,12 @@ _DEFAULT_T2_STAR_MS = (500.0, 500.0, 500.0, 500.0)
 class MoleculeParams:
     """Spin-system parameters of the four-qubit register.
 
-    Shifts are Hz at 303.0 K, drift slopes Hz/K, T2* in milliseconds per
-    qubit, J couplings a symmetric Hz table over (C, F1, F2, F3).
+    Shifts are Hz at 303.0 K (only the carbon entry places the carbon
+    lines), T2* in milliseconds per qubit, J couplings a symmetric Hz table
+    over (C, F1, F2, F3).
     """
 
     chemical_shifts: dict = field(default_factory=lambda: dict(_SHIFT_ANCHORS))
-    drift_slopes: dict = field(default_factory=lambda: dict(_DRIFT_SLOPES))
     t2_star_ms: tuple = _DEFAULT_T2_STAR_MS
     j_couplings: np.ndarray = None
     linewidth: float = 1.0

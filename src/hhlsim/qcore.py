@@ -105,10 +105,6 @@ class Spectrum:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
-    def condition_number(self) -> float:
-        lam = np.abs(self.eigenvalues)
-        return float(lam.max() / lam.min())
-
 
 def eig_hermitian(a) -> Spectrum:
     """Spectral decomposition of a Hermitian matrix.
@@ -141,6 +137,8 @@ class PureState:
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         _qubit_count(amp.size, "state vector")
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("state vector contains non-finite amplitudes")
         norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > ATOL_STRUCTURAL:
             raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond 1e-10")
@@ -243,49 +241,9 @@ def rotation_y(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def rotation_z(theta: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]], dtype=complex)
-
-
 def rotation_x(theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-def zyz_decompose(u) -> tuple[float, float, float, float]:
-    """Factor a 2x2 unitary as exp(i*alpha) Rz(beta) Ry(gamma) Rz(delta).
-
-    Returns ``(alpha, beta, gamma, delta)``, canonicalized so the identity
-    maps to all zeros and ``gamma`` lies in [0, pi].  The factors reproduce
-    the input within 1e-8 in max norm (tested tighter in practice).
-    """
-    m = as_complex_matrix(u)
-    if m.shape != (2, 2):
-        raise DimensionMismatch(f"ZYZ decomposition needs a 2x2 matrix, got {m.shape}")
-    if unitarity_defect(m) > 1e-8:
-        raise NotUnitary("ZYZ decomposition requires a unitary input")
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    alpha = float(np.angle(det) / 2.0)
-    v = m * np.exp(-1j * alpha)
-    gamma = float(2.0 * np.arctan2(abs(v[1, 0]), abs(v[0, 0])))
-    if abs(v[1, 0]) < 1e-12:
-        # diagonal: all phase sits in beta
-        beta = float(-2.0 * np.angle(v[0, 0]))
-        delta = 0.0
-    elif abs(v[0, 0]) < 1e-12:
-        # antidiagonal
-        beta = float(2.0 * np.angle(v[1, 0]))
-        delta = 0.0
-    else:
-        sum_bd = float(-2.0 * np.angle(v[0, 0]))
-        diff_bd = float(2.0 * np.angle(v[1, 0]))
-        beta = (sum_bd + diff_bd) / 2.0
-        delta = (sum_bd - diff_bd) / 2.0
-    return alpha, beta, gamma, delta
-
-
-def zyz_compose(alpha: float, beta: float, gamma: float, delta: float) -> np.ndarray:
-    return np.exp(1j * alpha) * (rotation_z(beta) @ rotation_y(gamma) @ rotation_z(delta))
 
 
 def expectation_value(x, m) -> float:

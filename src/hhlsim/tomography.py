@@ -55,14 +55,20 @@ PARTIAL_CATALOG_NAMES = (
 )
 
 
-def _swap_permutation(i: int, j: int) -> np.ndarray:
-    """Permutation matrix exchanging qubits i and j (0-based) on 4 qubits."""
-    perm = np.zeros((_DIM, _DIM), dtype=complex)
+def _index_swap_permutation(i: int, j: int) -> list[int]:
+    """Image of each basis index when qubits i and j (0-based) of 4 are exchanged."""
+    perm = []
     for m in range(_DIM):
         bits = [(m >> (3 - k)) & 1 for k in range(4)]
         bits[i], bits[j] = bits[j], bits[i]
-        m2 = sum(b << (3 - k) for k, b in enumerate(bits))
-        perm[m2, m] = 1.0
+        perm.append(sum(b << (3 - k) for k, b in enumerate(bits)))
+    return perm
+
+
+def _swap_permutation(i: int, j: int) -> np.ndarray:
+    """Permutation matrix exchanging qubits i and j (0-based) on 4 qubits."""
+    perm = np.zeros((_DIM, _DIM), dtype=complex)
+    perm[_index_swap_permutation(i, j), np.arange(_DIM)] = 1.0
     return perm
 
 
@@ -324,15 +330,6 @@ class PartialSolution:
         if self.d_sq < 1e-10:
             raise SubspaceMassTooSmall(f"|d|^2 = {self.d_sq:.3e} too small for a ratio")
         return self.c_sq / self.d_sq
-
-
-def _index_swap_permutation(i: int, j: int) -> list[int]:
-    perm = []
-    for m in range(_DIM):
-        bits = [(m >> (3 - k)) & 1 for k in range(4)]
-        bits[i], bits[j] = bits[j], bits[i]
-        perm.append(sum(b << (3 - k) for k, b in enumerate(bits)))
-    return perm
 
 
 @lru_cache(maxsize=None)

@@ -36,12 +36,6 @@ def embed_full(gate, n):
     if isinstance(gate, qc.Hadamard):
         targets, block = (gate.qubit,), H_MAT
         controls = ()
-    elif isinstance(gate, qc.PhaseS):
-        targets, block = (gate.qubit,), S_MAT
-        controls = ()
-    elif isinstance(gate, qc.RotationY):
-        targets, block = (gate.qubit,), ry(gate.theta)
-        controls = ()
     elif isinstance(gate, qc.ControlledUnitary):
         targets, block = gate.targets, gate.matrix
         controls = gate.controls
@@ -71,9 +65,9 @@ def random_circuit(rng, n, depth):
         if kind == 0:
             gates.append(qc.Hadamard(int(rng.integers(n))))
         elif kind == 1:
-            gates.append(qc.PhaseS(int(rng.integers(n))))
+            gates.append(qc.ArbitraryUnitary((int(rng.integers(n)),), S_MAT))
         elif kind == 2:
-            gates.append(qc.RotationY(int(rng.integers(n)), float(rng.normal())))
+            gates.append(qc.ArbitraryUnitary((int(rng.integers(n)),), ry(float(rng.normal()))))
         elif kind == 3 and n >= 2:
             a, b = rng.choice(n, size=2, replace=False)
             gates.append(qc.Swap(int(a), int(b)))
@@ -103,7 +97,7 @@ class TestApplyGate:
         assert np.allclose(out.amplitudes, basis_state(2, 0b10).amplitudes, atol=1e-12)
 
     def test_phase_s_on_one(self):
-        out = qc.apply_gate(basis_state(1, 1), qc.PhaseS(0))
+        out = qc.apply_gate(basis_state(1, 1), qc.ArbitraryUnitary((0,), S_MAT))
         assert out.amplitudes[1] == pytest.approx(1.0j, abs=1e-12)
 
     def test_index_out_of_range(self):
@@ -173,7 +167,7 @@ class TestQft:
 
     def test_qft_then_inverse(self):
         m = self.circuit_matrix(qc.qft(2))
-        mi = self.circuit_matrix(qc.inverse_qft(2))
+        mi = self.circuit_matrix(qc.qft(2).inverse())
         assert np.max(np.abs(mi @ m - np.eye(4))) < 1e-10
 
 
@@ -188,14 +182,14 @@ class TestEvolveDensity:
 
     def test_zero_duration_dephasing_is_identity(self):
         plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        c = qc.Circuit(1, (qc.RotationY(0, 0.0),))
+        c = qc.Circuit(1, (qc.ArbitraryUnitary((0,), ry(0.0)),))
         noise = (qc.NoiseEvent(0, (0,), qc.Dephasing(t2_star=1.0, duration=0.0)),)
         out = qc.evolve_density(plus.density(), c, noise)
         assert np.max(np.abs(out.matrix - plus.density().matrix)) < 1e-12
 
     def test_dephasing_decay_factor(self):
         plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        c = qc.Circuit(1, (qc.RotationY(0, 0.0),))
+        c = qc.Circuit(1, (qc.ArbitraryUnitary((0,), ry(0.0)),))
         noise = (qc.NoiseEvent(0, (0,), qc.Dephasing(t2_star=1.0, duration=0.1)),)
         out = qc.evolve_density(plus.density(), c, noise)
         assert abs(out.matrix[0, 1]) == pytest.approx(0.5 * np.exp(-0.1), abs=1e-12)

@@ -155,6 +155,23 @@ class TestInversionGates:
         with pytest.raises(SwapPathUnavailable):
             hhl.eigenvalue_inversion_gates(hhl.SolverConfig(), encoded_values=(1, 2, 3))
 
+    @pytest.mark.parametrize("mode", ["linear", "exact"])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_swap_and_label_keyed_paths_agree(self, mode, r):
+        s = demo_system([1.0, 0.0])
+        cfg = hhl.resolve_config(s, hhl.SolverConfig(rotation_mode=mode, r=r))
+        swap_path = hhl.eigenvalue_inversion_gates(cfg) + [qc.Swap(0, 1)]
+        keyed = hhl._general_inversion_gates(cfg, 1)
+        # eigenvalues 1 and 2 are encoded on clock labels 1 and 2
+        for j, label in enumerate((1, 2)):
+            via_swap = self.apply_branch(swap_path, label).amplitudes.reshape(4, 2, 2)[label, 0]
+            via_label = self.apply_branch(keyed, label).amplitudes.reshape(4, 2, 2)[label, 0]
+            u = s.spectrum.eigenvectors[:, j]
+            theory = hhl.theoretical_final_state(hhl.linear_system(A_DEMO, u), cfg)
+            branch = u.conj() @ theory.amplitudes.reshape(4, 2, 2)[0]
+            assert np.max(np.abs(via_swap - via_label)) < 1e-12
+            assert np.max(np.abs(via_swap - branch)) < 1e-12
+
 
 class TestRunHhl:
     def test_eigenvector_input_returns_itself(self):
@@ -218,6 +235,17 @@ class TestRunHhl:
         s = demo_system([1.0, 0.0])
         with pytest.raises(ValueError):
             hhl.run_hhl(s, hhl.SolverConfig(rotation_mode="exact", c_tilde=1.5))
+
+    def test_c_tilde_within_tolerance_is_clamped(self):
+        s = demo_system([1.0, 0.0])
+        cfg = hhl.SolverConfig(rotation_mode="exact", c_tilde=1.0 + 5e-10)
+        default = hhl.SolverConfig(rotation_mode="exact")
+        assert hhl.resolve_config(s, cfg).c_tilde == float(s.spectrum.eigenvalues.min())
+        assert len(hhl.build_circuit(s, cfg)) == len(hhl.build_circuit(s, default)) == 24
+        theory = hhl.theoretical_final_state(s, cfg).amplitudes
+        assert np.array_equal(theory, hhl.theoretical_final_state(s, default).amplitudes)
+        report = hhl.run_hhl(s, cfg)
+        assert np.max(np.abs(report.x_quantum - np.array([3.0, -1.0]) / np.sqrt(10.0))) < 1e-9
 
     def test_noisy_run_reports_band_metrics(self):
         s = demo_system(np.array([1.0, 1.0]) / np.sqrt(2.0))

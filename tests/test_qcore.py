@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hhlsim import qcore
-from hhlsim.errors import DimensionMismatch, EmptyKeepSet, NotHermitian, NotUnitary
+from hhlsim.errors import DimensionMismatch, EmptyKeepSet, NotHermitian
 from hhlsim.qcore import (
     DensityMatrix,
     PureState,
@@ -12,8 +12,6 @@ from hhlsim.qcore import (
     fidelity,
     matrix_exp_hermitian,
     partial_trace,
-    zyz_compose,
-    zyz_decompose,
 )
 
 A_DEMO = np.array([[1.5, 0.5], [0.5, 1.5]], dtype=complex)
@@ -150,33 +148,15 @@ class TestPartialTrace:
             partial_trace(basis_state(2, 0).density(), keep=[])
 
 
-class TestZyz:
-    def test_identity_is_canonical(self):
-        assert zyz_decompose(np.eye(2)) == (0.0, 0.0, 0.0, 0.0)
-
-    def test_hadamard_reconstruction(self):
-        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        assert np.max(np.abs(zyz_compose(*zyz_decompose(h)) - h)) < 1e-10
-
-    def test_demo_evolution_reconstruction(self):
-        u = matrix_exp_hermitian(A_DEMO, np.pi / 2.0)
-        assert np.max(np.abs(zyz_compose(*zyz_decompose(u)) - u)) < 1e-10
-
-    def test_random_unitaries(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            assert np.max(np.abs(zyz_compose(*zyz_decompose(q)) - q)) < 1e-8
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitary):
-            zyz_decompose(np.array([[1.0, 0.0], [0.0, 2.0]]))
-
-
 class TestStateTypes:
     def test_pure_state_norm_enforced(self):
         with pytest.raises(ValueError):
             PureState(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_pure_state_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState(np.array([bad, 0.0]))
 
     def test_pure_state_power_of_two(self):
         with pytest.raises(DimensionMismatch):
