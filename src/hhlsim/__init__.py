@@ -8,7 +8,7 @@ tomography (readout-pulse protocols), cli/config (experiment runner).
 
 __version__ = "0.1.0"
 
-from . import circuit, cli, config, errors, hhl, nmr, qcore, reference, tomography
+from . import circuit, config, errors, hhl, nmr, qcore, reference, tomography
 from .hhl import (
     LinearSystem,
     SolveReport,
@@ -25,7 +25,6 @@ from .reference import conjugate_gradient, direct_solve
 
 __all__ = [
     "circuit",
-    "cli",
     "config",
     "errors",
     "hhl",

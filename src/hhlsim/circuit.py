@@ -9,14 +9,13 @@ of the solver conditions on every clock basis value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from . import qcore
 from .errors import (
     DimensionMismatch,
-    IncompleteKrausSet,
     IndexOutOfRange,
     WidthMismatch,
     ZeroProbabilityBranch,
@@ -24,10 +23,6 @@ from .errors import (
 from .qcore import DensityMatrix, PureState
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -237,14 +232,12 @@ def qft(t: int) -> Circuit:
 # Noise channels
 
 
-def _require_complete(kraus: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    dim = kraus[0].shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    for k in kraus:
-        acc += k.conj().T @ k
-    if np.max(np.abs(acc - np.eye(dim))) > qcore.ATOL_STRUCTURAL:
-        raise IncompleteKrausSet("Kraus operators do not satisfy sum K^dagger K = I")
-    return tuple(qcore._freeze(np.asarray(k, dtype=complex)) for k in kraus)
+def _block(q: int, n: int, ket: int, bra: int) -> tuple:
+    """Index of the |ket><bra| block of qubit ``q`` in a 2n-axis density tensor."""
+    idx = [slice(None)] * (2 * n)
+    idx[q] = ket
+    idx[q + n] = bra
+    return tuple(idx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,10 +253,11 @@ class Dephasing:
         if self.duration < 0.0:
             raise ValueError("duration must be non-negative")
 
-    def kraus(self) -> tuple[np.ndarray, ...]:
+    def apply(self, tensor: np.ndarray, q: int, n: int) -> None:
+        """Scale qubit ``q``'s off-diagonal blocks of ``tensor`` in place."""
         decay = np.exp(-self.duration / self.t2_star)
-        p = (1.0 - decay) / 2.0
-        return _require_complete((np.sqrt(1.0 - p) * _I2, np.sqrt(p) * _Z))
+        tensor[_block(q, n, 0, 1)] *= decay
+        tensor[_block(q, n, 1, 0)] *= decay
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,35 +270,17 @@ class DepolarizingPulseError:
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("probability must lie in [0, 1]")
 
-    def kraus(self) -> tuple[np.ndarray, ...]:
+    def apply(self, tensor: np.ndarray, q: int, n: int) -> None:
+        """rho -> (1 - p) rho + p Tr_q(rho) (x) I/2 on qubit ``q``, in place."""
         p = self.probability
-        return _require_complete(
-            (
-                np.sqrt(1.0 - 0.75 * p) * _I2,
-                np.sqrt(p / 4.0) * _X,
-                np.sqrt(p / 4.0) * _Y,
-                np.sqrt(p / 4.0) * _Z,
-            )
-        )
+        diag0, diag1 = _block(q, n, 0, 0), _block(q, n, 1, 1)
+        mixed = (tensor[diag0] + tensor[diag1]) * (p / 2.0)
+        tensor *= 1.0 - p
+        tensor[diag0] += mixed
+        tensor[diag1] += mixed
 
 
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """Explicit single-qubit Kraus set; completeness checked on construction."""
-
-    operators: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
-        if not ops or any(k.shape != (2, 2) for k in ops):
-            raise DimensionMismatch("KrausChannel expects 2x2 operators")
-        object.__setattr__(self, "operators", _require_complete(ops))
-
-    def kraus(self) -> tuple[np.ndarray, ...]:
-        return self.operators
-
-
-NoiseChannel = Union[Dephasing, DepolarizingPulseError, KrausChannel]
+NoiseChannel = Union[Dephasing, DepolarizingPulseError]
 
 
 @dataclass(frozen=True)
@@ -340,15 +316,6 @@ def pulse_error_schedule(c: Circuit, per_gate_probability: float) -> tuple[Noise
     return tuple(NoiseEvent(i, gate_qubits(g), channel) for i, g in enumerate(c.gates))
 
 
-def _apply_kraus_tensor(tensor: np.ndarray, kraus: Iterable[np.ndarray], qubit: int, n: int) -> np.ndarray:
-    out = np.zeros_like(tensor)
-    for k in kraus:
-        t = _apply_block(tensor, k, [qubit])
-        t = _apply_block(t, k.conj(), [qubit + n])
-        out += t
-    return out
-
-
 def evolve_density(
     rho: DensityMatrix,
     c: Circuit,
@@ -369,22 +336,21 @@ def evolve_density(
             raise IndexOutOfRange(f"noise event after_gate {ev.after_gate} outside circuit")
         by_slot.setdefault(ev.after_gate, []).append(ev)
 
-    tensor = rho.matrix.reshape([2] * (2 * n))
+    # channels write in place, so the evolved tensor owns its memory
+    tensor = rho.matrix.reshape([2] * (2 * n)).copy()
 
-    def apply_events(slot: int, t: np.ndarray) -> np.ndarray:
+    def apply_events(slot: int, t: np.ndarray) -> None:
         for ev in by_slot.get(slot, ()):
-            kraus = ev.channel.kraus()
             for q in ev.qubits:
                 if q < 0 or q >= n:
                     raise IndexOutOfRange(f"noise event qubit {q} outside register")
-                t = _apply_kraus_tensor(t, kraus, q, n)
-        return t
+                ev.channel.apply(t, q, n)
 
-    tensor = apply_events(-1, tensor)
+    apply_events(-1, tensor)
     for i, g in enumerate(c.gates):
         tensor = _apply_gate_tensor(tensor, g, 0, False)
         tensor = _apply_gate_tensor(tensor, g, n, True)
-        tensor = apply_events(i, tensor)
+        apply_events(i, tensor)
     return DensityMatrix(tensor.reshape(2**n, 2**n))
 
 
@@ -409,10 +375,9 @@ def _measure_pure(state: PureState, q: int, outcome: int) -> tuple[float, PureSt
 def _measure_density(rho: DensityMatrix, q: int, outcome: int) -> tuple[float, DensityMatrix]:
     n = rho.n_qubits
     tensor = rho.matrix.reshape([2] * (2 * n))
-    proj = np.zeros((2, 2), dtype=complex)
-    proj[outcome, outcome] = 1.0
-    t = _apply_block(tensor, proj, [q])
-    t = _apply_block(t, proj, [q + n])
+    block = _block(q, n, outcome, outcome)
+    t = np.zeros_like(tensor)
+    t[block] = tensor[block]
     m = t.reshape(2**n, 2**n)
     prob = float(np.real(np.trace(m)))
     if prob < 1e-14:

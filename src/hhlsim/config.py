@@ -36,16 +36,23 @@ def _parse_vector(text: str) -> np.ndarray:
         raise ConfigParseError(f"bad vector entry: {exc}") from exc
 
 
+def _to_float(raw: str, key: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ConfigParseError(f"{key} = {raw!r} is not a number") from exc
+    if not np.isfinite(value):
+        raise ConfigParseError(f"{key} = {raw!r} is not finite")
+    return value
+
+
 def _parse_float(section, key: str, default=None) -> float:
     raw = section.get(key)
     if raw is None:
         if default is None:
             raise ConfigParseError(f"missing required value {key!r}")
         return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigParseError(f"{key} = {raw!r} is not a number") from exc
+    return _to_float(raw, key)
 
 
 def _parse_switch(section, key: str, default: bool = False) -> bool:
@@ -127,7 +134,7 @@ def _load_solver(parser: configparser.ConfigParser) -> SolverConfig:
     if mode not in ("linear", "exact"):
         raise ConfigParseError(f"solver mode must be linear or exact, got {mode!r}")
     c_tilde_raw = section.get("c_tilde", "default") if section else "default"
-    c_tilde = None if c_tilde_raw.strip().lower() == "default" else float(c_tilde_raw)
+    c_tilde = None if c_tilde_raw.strip().lower() == "default" else _to_float(c_tilde_raw, "c_tilde")
     try:
         return SolverConfig(
             clock_qubits=int(section.get("clock_qubits", "2")) if section else 2,
@@ -144,12 +151,22 @@ def _load_noise(parser: configparser.ConfigParser) -> NoiseSettings:
     if "noise" not in parser:
         return NoiseSettings(enabled=False, total_duration_ms=50.0, pulse_error_per_gate=0.0, seed=None)
     section = parser["noise"]
+    duration = _parse_float(section, "total_duration_ms", 50.0)
+    if duration < 0.0:
+        raise ConfigParseError(f"total_duration_ms = {duration} must be non-negative")
+    p = _parse_float(section, "pulse_error_per_gate", 0.0004)
+    if not 0.0 <= p <= 1.0:
+        raise ConfigParseError(f"pulse_error_per_gate = {p} must lie in [0, 1]")
     seed = section.get("seed")
+    try:
+        seed = int(seed) if seed is not None else None
+    except ValueError as exc:
+        raise ConfigParseError(f"seed = {seed!r} is not an integer") from exc
     return NoiseSettings(
         enabled=_parse_switch(section, "enabled", False),
-        total_duration_ms=_parse_float(section, "total_duration_ms", 50.0),
-        pulse_error_per_gate=_parse_float(section, "pulse_error_per_gate", 0.0004),
-        seed=int(seed) if seed is not None else None,
+        total_duration_ms=duration,
+        pulse_error_per_gate=p,
+        seed=seed,
     )
 
 
@@ -160,7 +177,7 @@ def _load_molecule(parser: configparser.ConfigParser) -> nmr.MoleculeParams | No
     shifts = dict(nmr._SHIFT_ANCHORS)
     shifts["C"] = _parse_float(section, "shift_c", shifts["C"])
     t2_raw = section.get("t2_star_ms")
-    t2 = tuple(float(x) for x in t2_raw.split()) if t2_raw else nmr._DEFAULT_T2_STAR_MS
+    t2 = tuple(_to_float(x, "t2_star_ms") for x in t2_raw.split()) if t2_raw else nmr._DEFAULT_T2_STAR_MS
     j_raw = section.get("j_couplings")
     j = _parse_matrix(j_raw).real if j_raw else None
     try:
@@ -184,10 +201,7 @@ def _load_sweep(parser: configparser.ConfigParser) -> SweepSettings | None:
     raw = section.get("values")
     if not raw:
         raise ConfigParseError("[sweep] needs a values list")
-    try:
-        values = tuple(float(tok) for tok in raw.split())
-    except ValueError as exc:
-        raise ConfigParseError(f"bad sweep values: {exc}") from exc
+    values = tuple(_to_float(tok, "sweep value") for tok in raw.split())
     if parameter == "r" and any(v != int(v) or v < 1 for v in values):
         raise ConfigParseError("r sweep values must be positive integers")
     return SweepSettings(parameter=parameter, values=values)

@@ -29,10 +29,6 @@ class WidthMismatch(HhlsimError):
     """State and circuit widths disagree."""
 
 
-class IncompleteKrausSet(HhlsimError):
-    """Kraus operators do not sum to the identity (not trace preserving)."""
-
-
 class ZeroProbabilityBranch(HhlsimError):
     """Requested measurement outcome has (numerically) zero probability."""
 

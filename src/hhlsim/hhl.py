@@ -78,6 +78,8 @@ def linear_system(a, b, *, normalize: bool = False) -> LinearSystem:
 
 
 ROTATION_MODES = ("linear", "exact")
+# clock labels within this of an integer count as exactly encoded
+ENCODING_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -121,9 +123,9 @@ def encoded_eigenvalues(sys: LinearSystem, cfg: SolverConfig) -> np.ndarray:
     return sys.spectrum.eigenvalues * cfg.t0 / TWO_PI
 
 
-def is_exact_encoding(sys: LinearSystem, cfg: SolverConfig, atol: float = 1e-9) -> bool:
+def is_exact_encoding(sys: LinearSystem, cfg: SolverConfig) -> bool:
     k = encoded_eigenvalues(sys, cfg)
-    return bool(np.all(np.abs(k - np.round(k)) <= atol))
+    return bool(np.all(np.abs(k - np.round(k)) <= ENCODING_ATOL))
 
 
 def _check_representable(sys: LinearSystem, cfg: SolverConfig) -> None:
@@ -221,9 +223,14 @@ def _inversion_rotation(cfg: SolverConfig, lam):
 
 
 def _rotation_gates(cfg: SolverConfig, lam: float, controls, ancilla: int) -> list[Gate]:
-    """Controlled Ry on the ancilla for eigenvalue ``lam``; none if c_tilde/lam > 1."""
+    """Controlled Ry on the ancilla for eigenvalue ``lam``; none if c_tilde/lam > 1.
+
+    An eigenvalue may sit up to ENCODING_ATOL above its clock label, so
+    c_tilde/lam may exceed 1 by as much; that label keeps its (clipped)
+    rotation.
+    """
     theta, sin_half, _ = _inversion_rotation(cfg, lam)
-    if sin_half > 1.0 + 1e-12:
+    if sin_half > 1.0 + ENCODING_ATOL:
         return []  # no valid rotation; such labels carry no amplitude
     return [ControlledUnitary(controls, (ancilla,), qcore.rotation_y(theta))]
 

@@ -109,8 +109,9 @@ def parse_pulse(name: str) -> ReadoutPulse:
     return ReadoutPulse(name=name, operator=op)
 
 
+@lru_cache(maxsize=None)
 def pulse_catalog(kind: str) -> tuple[ReadoutPulse, ...]:
-    """The two readout sets: ``partial`` has 5 pulses, ``full`` 44."""
+    """The two readout sets: ``partial`` has 5 pulses, ``full`` 44 (parsed once)."""
     if kind == "partial":
         names = PARTIAL_CATALOG_NAMES
     elif kind == "full":

@@ -3,7 +3,6 @@ import pytest
 
 from hhlsim import circuit as qc
 from hhlsim.errors import (
-    IncompleteKrausSet,
     IndexOutOfRange,
     WidthMismatch,
     ZeroProbabilityBranch,
@@ -202,25 +201,45 @@ class TestEvolveDensity:
         assert abs(np.trace(out.matrix) - 1.0) < 1e-10
 
 
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def kraus_reference(channel):
+    """Textbook single-qubit Kraus set of a channel (Nielsen & Chuang 8.3)."""
+    if isinstance(channel, qc.Dephasing):
+        p = (1.0 - np.exp(-channel.duration / channel.t2_star)) / 2.0
+        return (np.sqrt(1.0 - p) * np.eye(2), np.sqrt(p) * PAULI_Z)
+    p = channel.probability
+    return (np.sqrt(1.0 - 0.75 * p) * np.eye(2),) + tuple(np.sqrt(p / 4.0) * P for P in (PAULI_X, PAULI_Y, PAULI_Z))
+
+
 class TestNoiseChannels:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize(
         "channel",
         [
             qc.Dephasing(t2_star=2.0, duration=0.3),
+            qc.Dephasing(t2_star=1.0, duration=5.0),
             qc.DepolarizingPulseError(0.02),
+            qc.DepolarizingPulseError(1.0),
         ],
+        ids=["dephasing", "dephasing_strong", "depolarizing", "depolarizing_full"],
     )
-    def test_kraus_completeness(self, channel):
-        acc = sum(k.conj().T @ k for k in channel.kraus())
-        assert np.max(np.abs(acc - np.eye(2))) < 1e-10
-
-    def test_incomplete_kraus_set_rejected(self):
-        with pytest.raises(IncompleteKrausSet):
-            qc.KrausChannel((np.eye(2) * 0.5,))
-
-    def test_explicit_kraus_channel_accepted(self):
-        ch = qc.KrausChannel((np.eye(2) / np.sqrt(2.0), np.diag([1.0, -1.0]) / np.sqrt(2.0)))
-        assert len(ch.kraus()) == 2
+    def test_apply_matches_kraus_sum(self, channel, n):
+        rng = np.random.default_rng(100 + n)
+        a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho)
+        for q in range(n):
+            full = [np.kron(np.kron(np.eye(2**q), k), np.eye(2 ** (n - q - 1))) for k in kraus_reference(channel)]
+            expected = sum(k @ rho @ k.conj().T for k in full)
+            tensor = rho.reshape([2] * (2 * n)).copy()
+            channel.apply(tensor, q, n)
+            out = tensor.reshape(2**n, 2**n)
+            assert np.max(np.abs(out - expected)) < 1e-12
+            assert abs(np.trace(out) - 1.0) < 1e-12
 
 
 class TestMeasureQubit:

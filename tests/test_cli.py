@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +9,8 @@ import pytest
 
 from hhlsim import cli
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def run_cli(args):
@@ -65,6 +69,26 @@ class TestSolveCommand:
         config = tmp_path / "bad.ini"
         config.write_text("[system]\nmatrix = 1.5 bogus ; 0.5 1.5\nb = 1 0\n")
         assert run_cli(["solve", "--config", config, "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigParseError"
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("solve", "c_tilde = abc"),
+            ("solve", "t0 = nan"),
+            ("solve", "[noise]\nenabled = on\nseed = x1"),
+            ("solve", "[noise]\nenabled = on\ntotal_duration_ms = -5"),
+            ("solve", "[noise]\nenabled = on\npulse_error_per_gate = 2"),
+            ("solve", "[molecule]\nt2_star_ms = 500 abc 500 500"),
+            ("sweep", "[sweep]\nparameter = r\nvalues = 1 nan"),
+        ],
+        ids=["c_tilde", "t0", "seed", "duration", "pulse_error", "t2_star", "sweep_values"],
+    )
+    def test_bad_config_values_rejected(self, tmp_path, capsys, command, extra):
+        config = tmp_path / "bad.ini"
+        config.write_text(BASIC_CONFIG + extra + "\n")
+        assert run_cli([command, "--config", config, "--out", tmp_path / "o"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigParseError"
 
@@ -188,3 +212,12 @@ class TestSpectrumCommand:
         assert run_cli(["spectrum", "--config", CONFIG_DIR / "experiment3.ini", "--out", out]) == 0
         by_label = {p["label"]: p["intensity"] for p in read_json(out / "spectrum_peaks.json")["peaks"]}
         assert by_label["p1-p9"] / by_label["p3-p11"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_module_entry_point_runs_without_warning():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hhlsim.cli", "--help"], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr

@@ -247,6 +247,15 @@ class TestRunHhl:
         report = hhl.run_hhl(s, cfg)
         assert np.max(np.abs(report.x_quantum - np.array([3.0, -1.0]) / np.sqrt(10.0))) < 1e-9
 
+    def test_eigenvalue_within_tolerance_above_label_keeps_rotation(self):
+        cfg = hhl.SolverConfig(rotation_mode="exact")
+        b = np.array([0.6, 0.8])
+        near = hhl.run_hhl(hhl.linear_system(np.diag([1.0 + 5e-10, 2.0]), b), cfg)
+        exact = hhl.run_hhl(hhl.linear_system(np.diag([1.0, 2.0]), b), cfg)
+        assert len(near.circuit) == 24
+        assert near.fidelity_4q >= 1.0 - 1e-9
+        assert abs(near.success_probability - exact.success_probability) < 1e-8
+
     def test_noisy_run_reports_band_metrics(self):
         s = demo_system(np.array([1.0, 1.0]) / np.sqrt(2.0))
         cfg = hhl.SolverConfig(rotation_mode="linear")
