@@ -17,7 +17,7 @@ system = hhl.linear_system(A, hhl.prepare_b(theta).amplitudes)
 
 print("input angle theta =", theta, "(target ratio 3:1)")
 print(f"{'r':>3} {'max_rel_error':>15} {'success_prob':>14}")
-rows = hhl.sweep_r(system, range(1, 9), "linear")
+rows = hhl.sweep_r(system, range(1, 9))
 for row in rows:
     print(f"{int(row.value):>3} {row.max_rel_error:>15.6e} {row.success_probability:>14.6e}")
 
@@ -33,5 +33,6 @@ print("  prob ratios    :", np.round(probs[:-1] / probs[1:], 2))
 # leaks amplitude off the integer labels and the answer degrades.
 print()
 print(f"{'t0/pi':>7} {'max_rel_error':>15} {'success_prob':>14}")
-for row in hhl.sweep_t0(system, [2.0 * np.pi, 2.5 * np.pi, 3.0 * np.pi], "exact"):
+exact = hhl.SolverConfig(rotation_mode="exact")
+for row in hhl.sweep_t0(system, [2.0 * np.pi, 2.5 * np.pi, 3.0 * np.pi], exact):
     print(f"{row.value / np.pi:>7.2f} {row.max_rel_error:>15.6e} {row.success_probability:>14.6e}")

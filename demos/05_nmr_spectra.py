@@ -12,7 +12,7 @@ import numpy as np
 from hhlsim import hhl, nmr
 
 A = np.array([[1.5, 0.5], [0.5, 1.5]])
-molecule = nmr.default_molecule()
+molecule = nmr.MoleculeParams()
 
 system = hhl.linear_system(A, np.array([1.0, 1.0]) / np.sqrt(2.0))
 final = hhl.theoretical_final_state(system, hhl.SolverConfig(rotation_mode="linear", r=2))

@@ -20,7 +20,7 @@ from .hhl import (
     sweep_r,
     theoretical_final_state,
 )
-from .qcore import DensityMatrix, PureState, expectation_value, fidelity, partial_trace
+from .qcore import DensityMatrix, PureState, fidelity, partial_trace
 from .reference import conjugate_gradient, direct_solve
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "theoretical_final_state",
     "DensityMatrix",
     "PureState",
-    "expectation_value",
     "fidelity",
     "partial_trace",
     "conjugate_gradient",

@@ -71,25 +71,7 @@ class ControlledUnitary:
         object.__setattr__(self, "matrix", qcore._freeze(m))
 
 
-@dataclass(frozen=True, eq=False)
-class ArbitraryUnitary:
-    targets: tuple[int, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        targets = tuple(int(q) for q in self.targets)
-        if len(set(targets)) != len(targets):
-            raise IndexOutOfRange("target qubits must be distinct")
-        m = qcore.require_unitary(self.matrix)
-        if m.shape[0] != 2 ** len(targets):
-            raise DimensionMismatch(
-                f"{len(targets)} target qubits need a {2 ** len(targets)}-dim block, got {m.shape[0]}"
-            )
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "matrix", qcore._freeze(m))
-
-
-Gate = Union[Hadamard, Swap, ControlledUnitary, ArbitraryUnitary]
+Gate = Union[Hadamard, Swap, ControlledUnitary]
 
 
 def gate_qubits(g: Gate) -> tuple[int, ...]:
@@ -97,28 +79,20 @@ def gate_qubits(g: Gate) -> tuple[int, ...]:
         return (g.qubit,)
     if isinstance(g, Swap):
         return (g.qubit_a, g.qubit_b)
-    if isinstance(g, ControlledUnitary):
-        return tuple(q for q, _ in g.controls) + g.targets
-    return g.targets
+    return tuple(q for q, _ in g.controls) + g.targets
 
 
 def _gate_block(g: Gate) -> tuple[tuple[int, ...], np.ndarray]:
     """Target qubits and the matrix applied to them (controls handled separately)."""
     if isinstance(g, Hadamard):
         return (g.qubit,), _H
-    if isinstance(g, (ControlledUnitary, ArbitraryUnitary)):
-        return g.targets, g.matrix
-    raise TypeError(f"unsupported gate {g!r}")
+    return g.targets, g.matrix
 
 
 def gate_inverse(g: Gate) -> Gate:
     if isinstance(g, (Hadamard, Swap)):
         return g
-    if isinstance(g, ControlledUnitary):
-        return ControlledUnitary(g.controls, g.targets, g.matrix.conj().T)
-    if isinstance(g, ArbitraryUnitary):
-        return ArbitraryUnitary(g.targets, g.matrix.conj().T)
-    raise TypeError(f"unsupported gate {g!r}")
+    return ControlledUnitary(g.controls, g.targets, g.matrix.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,16 +159,6 @@ def _apply_gate_tensor(tensor: np.ndarray, g: Gate, offset: int, conjugate: bool
     out = tensor.copy()
     out[idx] = _apply_block(sub, block, adj)
     return out
-
-
-def apply_gate(state: PureState, g: Gate) -> PureState:
-    """Apply one gate to a pure state; preserves the norm to rounding."""
-    n = state.n_qubits
-    qs = gate_qubits(g)
-    if any(q < 0 or q >= n for q in qs):
-        raise IndexOutOfRange(f"gate {g!r} outside 0..{n - 1}")
-    tensor = state.amplitudes.reshape([2] * n)
-    return PureState(_apply_gate_tensor(tensor, g, 0, False).reshape(-1))
 
 
 def run_circuit(state: PureState, c: Circuit) -> PureState:
@@ -430,12 +394,12 @@ def circuit_to_text(c: Circuit) -> str:
         elif isinstance(g, Swap):
             lines.append(f"SWAP {g.qubit_a} {g.qubit_b}")
         elif isinstance(g, ControlledUnitary):
-            ctrl = ",".join(f"{q}:{v}" for q, v in g.controls)
             tgt = ",".join(str(q) for q in g.targets)
-            lines.append(f"CU {ctrl} {tgt} {_fmt_matrix(g.matrix)}")
-        elif isinstance(g, ArbitraryUnitary):
-            tgt = ",".join(str(q) for q in g.targets)
-            lines.append(f"U {tgt} {_fmt_matrix(g.matrix)}")
+            if g.controls:
+                ctrl = ",".join(f"{q}:{v}" for q, v in g.controls)
+                lines.append(f"CU {ctrl} {tgt} {_fmt_matrix(g.matrix)}")
+            else:
+                lines.append(f"U {tgt} {_fmt_matrix(g.matrix)}")
         else:
             raise TypeError(f"unsupported gate {g!r}")
     return "\n".join(lines) + "\n"
@@ -467,7 +431,7 @@ def circuit_from_text(text: str) -> Circuit:
             gates.append(ControlledUnitary(controls, targets, _parse_matrix(parts[3])))
         elif kind == "U":
             targets = tuple(int(x) for x in parts[1].split(","))
-            gates.append(ArbitraryUnitary(targets, _parse_matrix(parts[2])))
+            gates.append(ControlledUnitary((), targets, _parse_matrix(parts[2])))
         else:
             raise ValueError(f"unknown gate line: {raw!r}")
     if n_qubits is None:

@@ -49,6 +49,8 @@ def _apply_overrides(settings: RunSettings, args) -> RunSettings:
     if args.noise is not None:
         noise = replace(noise, enabled=args.noise == "on")
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigParseError(f"--seed {args.seed} must be non-negative")
         noise = replace(noise, seed=args.seed)
     if settings.tomography.noise_sigma > 0.0 and noise.seed is None:
         raise ConfigParseError("stochastic readout noise requires a seed")
@@ -84,7 +86,7 @@ def _final_density(report):
     return report.final_density if report.final_density is not None else report.final_state.density()
 
 
-def _spectrum_csv(spectrum: nmr.Spectrum) -> str:
+def _spectrum_csv(spectrum: nmr.CarbonSpectrum) -> str:
     centers = [p.center for p in spectrum.peaks]
     width = max(p.width for p in spectrum.peaks)
     freqs = np.linspace(min(centers) - 20.0 * width, max(centers) + 20.0 * width, 2001)
@@ -114,7 +116,7 @@ def cmd_sweep(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
     if settings.sweep is None:
         raise ConfigParseError("sweep command needs a [sweep] section")
     sweep = sweep_r if settings.sweep.parameter == "r" else sweep_t0
-    rows = sweep(settings.system, settings.sweep.values, settings.solver.rotation_mode, base_config=settings.solver)
+    rows = sweep(settings.system, settings.sweep.values, settings.solver)
     lines = ["parameter,value,max_rel_error,success_probability"]
     lines.extend(
         f"{row.parameter},{row.value!r},{row.max_rel_error!r},{row.success_probability!r}" for row in rows
@@ -183,7 +185,7 @@ def cmd_spectrum(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
     rho = _final_density(report)
     if rho.n_qubits != 4:
         raise ConfigParseError("spectrum export needs the 4-qubit layout (2x2 system)")
-    molecule = settings.molecule if settings.molecule is not None else nmr.default_molecule()
+    molecule = settings.molecule if settings.molecule is not None else nmr.MoleculeParams()
     spectrum = nmr.synthesize_spectrum(rho, molecule)
     _write_text(out / "spectrum.csv", _spectrum_csv(spectrum))
     # intensities are quoted relative to the pseudo-pure reference peak,

@@ -162,6 +162,8 @@ def _load_noise(parser: configparser.ConfigParser) -> NoiseSettings:
         seed = int(seed) if seed is not None else None
     except ValueError as exc:
         raise ConfigParseError(f"seed = {seed!r} is not an integer") from exc
+    if seed is not None and seed < 0:
+        raise ConfigParseError(f"seed = {seed} must be non-negative")
     return NoiseSettings(
         enabled=_parse_switch(section, "enabled", False),
         total_duration_ms=duration,

@@ -59,6 +59,7 @@ class LinearSystem:
 
 def linear_system(a, b, *, normalize: bool = False) -> LinearSystem:
     m = qcore.require_hermitian(a)
+    qcore._qubit_count(m.shape[0], "system")
     vec = np.asarray(b, dtype=complex).reshape(-1)
     if vec.size != m.shape[0]:
         raise WidthMismatch(f"matrix {m.shape} incompatible with b of length {vec.size}")
@@ -101,14 +102,15 @@ class SolverConfig:
     def __post_init__(self):
         if self.clock_qubits < 1:
             raise ValueError("clock_qubits must be >= 1")
-        if self.t0 <= 0.0:
-            raise ValueError("t0 must be positive")
-        if int(self.r) != self.r or self.r < 1:
+        if not np.isfinite(self.t0) or self.t0 <= 0.0:
+            raise ValueError("t0 must be positive and finite")
+        if not np.isfinite(self.r) or int(self.r) != self.r or self.r < 1:
             raise ValueError("r must be a positive integer")
         if self.rotation_mode not in ROTATION_MODES:
             raise ValueError(f"rotation_mode must be one of {ROTATION_MODES}")
-        if self.c_tilde is not None and self.c_tilde <= 0.0:
-            raise ValueError("c_tilde must be positive when given")
+        if self.c_tilde is not None and not (np.isfinite(self.c_tilde) and self.c_tilde > 0.0):
+            raise ValueError("c_tilde must be positive and finite when given")
+        object.__setattr__(self, "r", int(self.r))
 
 
 def prepare_b(theta: float) -> PureState:
@@ -235,11 +237,7 @@ def _rotation_gates(cfg: SolverConfig, lam: float, controls, ancilla: int) -> li
     return [ControlledUnitary(controls, (ancilla,), qcore.rotation_y(theta))]
 
 
-def eigenvalue_inversion_gates(
-    cfg: SolverConfig,
-    n_solution_qubits: int = 1,
-    encoded_values: Sequence[int] | None = None,
-) -> list[Gate]:
+def eigenvalue_inversion_gates(cfg: SolverConfig, n_solution_qubits: int = 1) -> list[Gate]:
     """The swap-based fast path: clock swap, then ancilla rotations.
 
     Swapping the two clock qubits relabels |k> -> |2/k> for k in {1, 2},
@@ -248,17 +246,13 @@ def eigenvalue_inversion_gates(
     clock qubit with theta_j = (2*pi/2^r)/lambda_j in total; exact mode
     rotates each relabeled clock value by 2*arcsin(c_tilde/lambda_j).
 
-    Only a two-qubit clock supports this permutation; pass the integer
-    clock labels as ``encoded_values`` to have the relabeling validated
-    (anything outside {1, 2} is not inverted by the swap).
+    Only a two-qubit clock supports this permutation, and only clock labels
+    1 and 2 are inverted by it; swap_path_available checks a system's
+    labels.
     """
     t = cfg.clock_qubits
     if t != 2:
         raise SwapPathUnavailable(f"swap relabeling is defined for 2 clock qubits, not {t}")
-    if encoded_values is not None and any(int(k) not in (1, 2) for k in encoded_values):
-        raise SwapPathUnavailable(
-            f"clock labels {tuple(encoded_values)} are not permuted onto 2/lambda by the swap"
-        )
     ancilla = t + n_solution_qubits
     gates: list[Gate] = [Swap(0, 1)]
 
@@ -323,8 +317,7 @@ def build_circuit(sys: LinearSystem, cfg: SolverConfig) -> Circuit:
     n = t + nb + 1
     qpe = _qpe_circuit(sys, cfg, n)
     if swap_path_available(sys, cfg):
-        labels = np.round(encoded_eigenvalues(sys, cfg)).astype(int)
-        inversion = eigenvalue_inversion_gates(cfg, nb, encoded_values=labels)
+        inversion = eigenvalue_inversion_gates(cfg, nb)
         inversion.append(Swap(0, 1))
     else:
         inversion = _general_inversion_gates(cfg, nb)
@@ -512,35 +505,22 @@ class SweepRow:
     success_probability: float
 
 
-def _sweep(sys, parameter: str, cast, values, mode: str, base_config: SolverConfig | None) -> list[SweepRow]:
-    cfg0 = base_config if base_config is not None else SolverConfig(rotation_mode=mode)
+def _sweep(sys: LinearSystem, parameter: str, values, cfg: SolverConfig) -> list[SweepRow]:
     rows = []
     for value in values:
-        report = run_hhl(sys, replace(cfg0, rotation_mode=mode, **{parameter: cast(value)}))
+        report = run_hhl(sys, replace(cfg, **{parameter: value}))
         rows.append(SweepRow(parameter, float(value), report.max_rel_error, report.success_probability))
     return rows
 
 
-def sweep_r(
-    sys: LinearSystem,
-    r_values: Sequence[int],
-    mode: str = "linear",
-    *,
-    base_config: SolverConfig | None = None,
-) -> list[SweepRow]:
-    """One pipeline run per rotation parameter r."""
-    return _sweep(sys, "r", int, r_values, mode, base_config)
+def sweep_r(sys: LinearSystem, r_values: Sequence[int], cfg: SolverConfig = SolverConfig()) -> list[SweepRow]:
+    """One pipeline run per rotation parameter r, the rest of ``cfg`` fixed."""
+    return _sweep(sys, "r", r_values, cfg)
 
 
-def sweep_t0(
-    sys: LinearSystem,
-    t0_values: Sequence[float],
-    mode: str = "linear",
-    *,
-    base_config: SolverConfig | None = None,
-) -> list[SweepRow]:
+def sweep_t0(sys: LinearSystem, t0_values: Sequence[float], cfg: SolverConfig = SolverConfig()) -> list[SweepRow]:
     """One pipeline run per evolution time scale t0 (approximate encodings allowed)."""
-    return _sweep(sys, "t0", float, t0_values, mode, base_config)
+    return _sweep(sys, "t0", t0_values, cfg)
 
 
 def theta_for_target_ratio(sys: LinearSystem, ratio_sq: float) -> float:

@@ -61,6 +61,8 @@ class MoleculeParams:
         j = _DEFAULT_J if self.j_couplings is None else np.asarray(self.j_couplings, dtype=float)
         if j.shape != (4, 4) or np.max(np.abs(j - j.T)) > 0.0:
             raise DimensionMismatch("J table must be a symmetric 4x4 matrix")
+        if not np.all(np.isfinite(j)):
+            raise ValueError("J table entries must be finite")
         t2 = tuple(float(x) for x in self.t2_star_ms)
         if len(t2) != 4 or any(x <= 0.0 for x in t2):
             raise ValueError("need four positive T2* values")
@@ -68,10 +70,6 @@ class MoleculeParams:
             raise ValueError("linewidth must be positive")
         object.__setattr__(self, "j_couplings", _freeze(j))
         object.__setattr__(self, "t2_star_ms", t2)
-
-
-def default_molecule() -> MoleculeParams:
-    return MoleculeParams()
 
 
 def pps_state(epsilon: float) -> DensityMatrix:
@@ -110,7 +108,7 @@ class Peak:
 
 
 @dataclass(frozen=True, eq=False)
-class Spectrum:
+class CarbonSpectrum:
     """Carbon-channel line list; peaks are sorted by center frequency."""
 
     peaks: tuple
@@ -147,7 +145,7 @@ def carbon_peak_positions(params: MoleculeParams) -> np.ndarray:
     return centers
 
 
-def synthesize_spectrum(rho: DensityMatrix, params: MoleculeParams | None = None) -> Spectrum:
+def synthesize_spectrum(rho: DensityMatrix, params: MoleculeParams | None = None) -> CarbonSpectrum:
     """Carbon spectrum of a four-qubit state.
 
     Line j carries intensity p_j - p_(j+8); the four lines with the second
@@ -156,7 +154,7 @@ def synthesize_spectrum(rho: DensityMatrix, params: MoleculeParams | None = None
     couplings, widths from the configured linewidth.
     """
     if params is None:
-        params = default_molecule()
+        params = MoleculeParams()
     if rho.n_qubits != 4:
         raise DimensionMismatch("carbon spectrum synthesis expects a 4-qubit state")
     pops = rho.populations()
@@ -170,7 +168,12 @@ def synthesize_spectrum(rho: DensityMatrix, params: MoleculeParams | None = None
         )
         for j in range(8)
     ]
-    return Spectrum(tuple(peaks))
+    return CarbonSpectrum(tuple(peaks))
+
+
+# Iteration budget of lorentzian_fit; least_squares counts it in function
+# evaluations, 3 * n_peaks + 1 per iteration.
+_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -199,33 +202,10 @@ def _fit_jacobian(params: np.ndarray, f: np.ndarray, y: np.ndarray) -> np.ndarra
     return jac
 
 
-def _initial_guess(f: np.ndarray, y: np.ndarray, n_peaks: int) -> np.ndarray:
-    mag = np.abs(y)
-    order = np.argsort(mag)[::-1]
-    spacing = max((f.max() - f.min()) / max(f.size - 1, 1), 1e-6)
-    min_sep = max(3 * spacing, (f.max() - f.min()) / (8.0 * n_peaks))
-    centers: list[float] = []
-    heights: list[float] = []
-    for idx in order:
-        if all(abs(f[idx] - c) > min_sep for c in centers):
-            centers.append(float(f[idx]))
-            heights.append(float(y[idx]))
-        if len(centers) == n_peaks:
-            break
-    while len(centers) < n_peaks:  # degenerate data: stack guesses mid-span
-        centers.append(float(np.median(f)))
-        heights.append(float(np.max(mag)))
-    width0 = max(min_sep, spacing * 3.0)
-    guess = np.empty(3 * n_peaks)
-    guess[0::3] = centers
-    guess[1::3] = heights
-    guess[2::3] = width0
-    return guess
-
-
-def lorentzian_fit(samples, n_peaks: int, *, initial=None, max_iterations: int = 200) -> list[FittedPeak]:
+def lorentzian_fit(samples, n_peaks: int, *, initial) -> list[FittedPeak]:
     """Least-squares fit of a sum of Lorentzians to sampled (freq, amplitude) data.
 
+    ``initial`` is the starting point, (center, intensity, width) per peak.
     Damped least squares (Levenberg-Marquardt) with the analytic Jacobian;
     raises FitDiverged when the iteration budget runs out before the
     relative-change convergence threshold (1e-8) is met.
@@ -238,7 +218,9 @@ def lorentzian_fit(samples, n_peaks: int, *, initial=None, max_iterations: int =
     f, y = data[:, 0], data[:, 1]
     if f.size < 3 * n_peaks:
         raise FitDiverged("fewer samples than fit parameters")
-    x0 = np.asarray(initial, dtype=float).reshape(-1) if initial is not None else _initial_guess(f, y, n_peaks)
+    x0 = np.asarray(initial, dtype=float).reshape(-1)
+    if x0.size != 3 * n_peaks:
+        raise DimensionMismatch(f"initial needs {3 * n_peaks} values for {n_peaks} peaks, got {x0.size}")
     result = least_squares(
         _fit_residuals,
         x0,
@@ -247,7 +229,7 @@ def lorentzian_fit(samples, n_peaks: int, *, initial=None, max_iterations: int =
         method="lm",
         ftol=1e-8,
         xtol=1e-8,
-        max_nfev=max_iterations * (3 * n_peaks + 1),
+        max_nfev=_MAX_ITERATIONS * (3 * n_peaks + 1),
     )
     if result.status == 0 or not result.success:
         raise FitDiverged(f"no convergence within the iteration budget (status {result.status})")

@@ -43,13 +43,13 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T)))
 
 
-def require_hermitian(a, atol: float = ATOL_STRUCTURAL) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"matrix is not square: {m.shape}")
     defect = hermiticity_defect(m)
-    if defect > atol:
-        raise NotHermitian(f"max |A - A^dagger| = {defect:.3e} > {atol:.1e}")
+    if defect > ATOL_STRUCTURAL:
+        raise NotHermitian(f"max |A - A^dagger| = {defect:.3e} > {ATOL_STRUCTURAL:.1e}")
     return m
 
 
@@ -58,13 +58,13 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
-def require_unitary(u, atol: float = ATOL_STRUCTURAL) -> np.ndarray:
+def require_unitary(u) -> np.ndarray:
     m = as_complex_matrix(u)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"matrix is not square: {m.shape}")
     defect = unitarity_defect(m)
-    if defect > atol:
-        raise NotUnitary(f"max |U^dagger U - I| = {defect:.3e} > {atol:.1e}")
+    if defect > ATOL_STRUCTURAL:
+        raise NotUnitary(f"max |U^dagger U - I| = {defect:.3e} > {ATOL_STRUCTURAL:.1e}")
     return m
 
 
@@ -77,7 +77,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _qubit_count(dim: int, what: str) -> int:
     n = int(dim).bit_length() - 1
     if 2**n != dim or dim < 2:
-        raise DimensionMismatch(f"{what} dimension {dim} is not a power of two")
+        raise DimensionMismatch(f"{what} dimension {dim} is not a power of two >= 2")
     return n
 
 
@@ -95,15 +95,6 @@ class Spectrum:
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _freeze(np.asarray(self.eigenvalues, dtype=float)))
         object.__setattr__(self, "eigenvectors", _freeze(np.asarray(self.eigenvectors, dtype=complex)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the original matrix from the decomposition."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def eig_hermitian(a) -> Spectrum:
@@ -246,20 +237,7 @@ def rotation_x(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
-def expectation_value(x, m) -> float:
-    """<x|M|x> for a Hermitian observable M and a state vector x.
-
-    The statistical feature of the solution the solver is ultimately
-    after; the global phase of x drops out.
-    """
-    obs = require_hermitian(m)
-    v = np.asarray(x, dtype=complex).reshape(-1)
-    if v.size != obs.shape[0]:
-        raise DimensionMismatch(f"vector of length {v.size} vs operator {obs.shape}")
-    return float(np.real(np.vdot(v, obs @ v)))
-
-
-def canonical_phase(vec, tol: float = 1e-12) -> np.ndarray:
+def canonical_phase(vec) -> np.ndarray:
     """Rotate a global phase so the first significant amplitude is real positive.
 
     The solver output carries an undetermined global phase; this fixes the
@@ -270,6 +248,6 @@ def canonical_phase(vec, tol: float = 1e-12) -> np.ndarray:
     if scale == 0.0:
         return v.copy()
     for x in v:
-        if abs(x) > tol * scale:
+        if abs(x) > 1e-12 * scale:
             return v * (x.conjugate() / abs(x))
     return v.copy()

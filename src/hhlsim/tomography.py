@@ -187,7 +187,7 @@ def simulate_readout(
     if noise_sigma > 0.0 and rng is None:
         raise ValueError("noisy readout needs an explicit seeded generator")
     if fit_via_spectrum and molecule is None:
-        molecule = nmr.default_molecule()
+        molecule = nmr.MoleculeParams()
     records = []
     for pulse in pulses:
         u = pulse.operator
@@ -283,7 +283,7 @@ def reconstruct_density(records) -> DensityMatrix:
 
 
 def records_to_json(records) -> dict:
-    """Records keyed by pulse name, for replay and offline reconstruction."""
+    """Records keyed by pulse name, the layout of ``records.json``."""
     out = {}
     for rec in records:
         out[rec.pulse] = {
@@ -292,20 +292,6 @@ def records_to_json(records) -> dict:
             "peaks_im": [float(x) for x in np.imag(rec.peak_amplitudes)],
         }
     return out
-
-
-def records_from_json(data: dict) -> list[MeasurementRecord]:
-    records = []
-    for name, fields in data.items():
-        peaks = np.asarray(fields["peaks_re"], dtype=float) + 1j * np.asarray(fields["peaks_im"], dtype=float)
-        records.append(
-            MeasurementRecord(
-                pulse=name,
-                populations=np.asarray(fields["populations"], dtype=float),
-                peak_amplitudes=peaks,
-            )
-        )
-    return records
 
 
 # ---------------------------------------------------------------------------

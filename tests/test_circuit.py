@@ -35,12 +35,9 @@ def embed_full(gate, n):
     if isinstance(gate, qc.Hadamard):
         targets, block = (gate.qubit,), H_MAT
         controls = ()
-    elif isinstance(gate, qc.ControlledUnitary):
-        targets, block = gate.targets, gate.matrix
-        controls = gate.controls
     else:
         targets, block = gate.targets, gate.matrix
-        controls = ()
+        controls = gate.controls
     k = len(targets)
     for col in range(dim):
         bits = [(col >> (n - 1 - q)) & 1 for q in range(n)]
@@ -64,9 +61,9 @@ def random_circuit(rng, n, depth):
         if kind == 0:
             gates.append(qc.Hadamard(int(rng.integers(n))))
         elif kind == 1:
-            gates.append(qc.ArbitraryUnitary((int(rng.integers(n)),), S_MAT))
+            gates.append(qc.ControlledUnitary((), (int(rng.integers(n)),), S_MAT))
         elif kind == 2:
-            gates.append(qc.ArbitraryUnitary((int(rng.integers(n)),), ry(float(rng.normal()))))
+            gates.append(qc.ControlledUnitary((), (int(rng.integers(n)),), ry(float(rng.normal()))))
         elif kind == 3 and n >= 2:
             a, b = rng.choice(n, size=2, replace=False)
             gates.append(qc.Swap(int(a), int(b)))
@@ -77,7 +74,7 @@ def random_circuit(rng, n, depth):
         else:
             t = int(rng.integers(n))
             q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            gates.append(qc.ArbitraryUnitary((t,), q))
+            gates.append(qc.ControlledUnitary((), (t,), q))
     return qc.Circuit(n, tuple(gates))
 
 
@@ -86,28 +83,32 @@ def random_state(rng, n):
     return PureState(v / np.linalg.norm(v))
 
 
+def apply_one(state, g):
+    return qc.run_circuit(state, qc.Circuit(state.n_qubits, (g,)))
+
+
 class TestApplyGate:
     def test_hadamard_on_zero(self):
-        out = qc.apply_gate(basis_state(1, 0), qc.Hadamard(0))
+        out = apply_one(basis_state(1, 0), qc.Hadamard(0))
         assert np.allclose(out.amplitudes, [1.0, 1.0] / np.sqrt(2.0), atol=1e-12)
 
     def test_swap_exchanges_kets(self):
-        out = qc.apply_gate(basis_state(2, 0b01), qc.Swap(0, 1))
+        out = apply_one(basis_state(2, 0b01), qc.Swap(0, 1))
         assert np.allclose(out.amplitudes, basis_state(2, 0b10).amplitudes, atol=1e-12)
 
     def test_phase_s_on_one(self):
-        out = qc.apply_gate(basis_state(1, 1), qc.ArbitraryUnitary((0,), S_MAT))
+        out = apply_one(basis_state(1, 1), qc.ControlledUnitary((), (0,), S_MAT))
         assert out.amplitudes[1] == pytest.approx(1.0j, abs=1e-12)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            qc.apply_gate(basis_state(1, 0), qc.Hadamard(1))
+            apply_one(basis_state(1, 0), qc.Hadamard(1))
 
     def test_norm_preserved_on_random_gates(self):
         rng = np.random.default_rng(17)
         state = random_state(rng, 4)
         for g in random_circuit(rng, 4, 40).gates:
-            state = qc.apply_gate(state, g)
+            state = apply_one(state, g)
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
 
@@ -181,14 +182,14 @@ class TestEvolveDensity:
 
     def test_zero_duration_dephasing_is_identity(self):
         plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        c = qc.Circuit(1, (qc.ArbitraryUnitary((0,), ry(0.0)),))
+        c = qc.Circuit(1, (qc.ControlledUnitary((), (0,), ry(0.0)),))
         noise = (qc.NoiseEvent(0, (0,), qc.Dephasing(t2_star=1.0, duration=0.0)),)
         out = qc.evolve_density(plus.density(), c, noise)
         assert np.max(np.abs(out.matrix - plus.density().matrix)) < 1e-12
 
     def test_dephasing_decay_factor(self):
         plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        c = qc.Circuit(1, (qc.ArbitraryUnitary((0,), ry(0.0)),))
+        c = qc.Circuit(1, (qc.ControlledUnitary((), (0,), ry(0.0)),))
         noise = (qc.NoiseEvent(0, (0,), qc.Dephasing(t2_star=1.0, duration=0.1)),)
         out = qc.evolve_density(plus.density(), c, noise)
         assert abs(out.matrix[0, 1]) == pytest.approx(0.5 * np.exp(-0.1), abs=1e-12)
@@ -288,6 +289,14 @@ class TestSerialization:
         a = qc.run_circuit(state, c).amplitudes
         b = qc.run_circuit(state, back).amplitudes
         assert np.max(np.abs(a - b)) == 0.0  # repr round-trip is exact
+
+    def test_uncontrolled_unitary_is_a_u_line(self):
+        g = qc.ControlledUnitary((), (1, 0), np.kron(S_MAT, H_MAT))
+        text = qc.circuit_to_text(qc.Circuit(2, (g,)))
+        assert text.splitlines()[1].startswith("U 1,0 ")
+        (back,) = qc.circuit_from_text(text).gates
+        assert back.controls == () and back.targets == (1, 0)
+        assert np.array_equal(back.matrix, g.matrix)
 
     def test_rejects_unknown_lines(self):
         with pytest.raises(ValueError):

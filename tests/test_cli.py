@@ -73,22 +73,40 @@ class TestSolveCommand:
         assert err["error"]["type"] == "ConfigParseError"
 
     @pytest.mark.parametrize(
-        "command, extra",
+        "command, extra, flags",
         [
-            ("solve", "c_tilde = abc"),
-            ("solve", "t0 = nan"),
-            ("solve", "[noise]\nenabled = on\nseed = x1"),
-            ("solve", "[noise]\nenabled = on\ntotal_duration_ms = -5"),
-            ("solve", "[noise]\nenabled = on\npulse_error_per_gate = 2"),
-            ("solve", "[molecule]\nt2_star_ms = 500 abc 500 500"),
-            ("sweep", "[sweep]\nparameter = r\nvalues = 1 nan"),
+            ("solve", "c_tilde = abc", ()),
+            ("solve", "t0 = nan", ()),
+            ("solve", "[noise]\nenabled = on\nseed = x1", ()),
+            ("solve", "[noise]\nenabled = on\ntotal_duration_ms = -5", ()),
+            ("solve", "[noise]\nenabled = on\npulse_error_per_gate = 2", ()),
+            ("solve", "[molecule]\nt2_star_ms = 500 abc 500 500", ()),
+            ("sweep", "[sweep]\nparameter = r\nvalues = 1 nan", ()),
+            ("tomography", "[noise]\nseed = -1\n[tomography]\nnoise_sigma = 0.01", ()),
+            ("tomography", "[tomography]\nnoise_sigma = 0.01", ("--seed", "-1")),
+            ("spectrum", "[molecule]\nj_couplings = 0 nan 0 0 ; nan 0 0 0 ; 0 0 0 0 ; 0 0 0 0", ()),
         ],
-        ids=["c_tilde", "t0", "seed", "duration", "pulse_error", "t2_star", "sweep_values"],
+        ids=[
+            "c_tilde", "t0", "seed", "duration", "pulse_error", "t2_star", "sweep_values",
+            "negative_seed", "negative_seed_flag", "j_couplings_nan",
+        ],
     )
-    def test_bad_config_values_rejected(self, tmp_path, capsys, command, extra):
+    def test_bad_config_values_rejected(self, tmp_path, capsys, command, extra, flags):
         config = tmp_path / "bad.ini"
         config.write_text(BASIC_CONFIG + extra + "\n")
-        assert run_cli([command, "--config", config, "--out", tmp_path / "o"]) == 2
+        assert run_cli([command, "--config", config, "--out", tmp_path / "o", *flags]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigParseError"
+
+    @pytest.mark.parametrize(
+        "system",
+        ["matrix = 1 0 0 ; 0 2 0 ; 0 0 3\nb = 1 0 0", "matrix = 2\nb = 1"],
+        ids=["3x3", "1x1"],
+    )
+    def test_system_without_a_register_rejected(self, tmp_path, capsys, system):
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[system]\n{system}\n")
+        assert run_cli(["solve", "--config", config, "--out", tmp_path / "o"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigParseError"
 

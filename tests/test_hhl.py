@@ -4,6 +4,7 @@ import pytest
 from hhlsim import circuit as qc
 from hhlsim import hhl
 from hhlsim.errors import (
+    DimensionMismatch,
     EigenvalueNotEncodable,
     NotPositiveDefinite,
     SwapPathUnavailable,
@@ -41,6 +42,26 @@ class TestLinearSystem:
     def test_requires_unit_b(self):
         with pytest.raises(ValueError):
             hhl.linear_system(A_DEMO, [1.0, 1.0])
+
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_rejects_sizes_without_a_register(self, dim):
+        with pytest.raises(DimensionMismatch):
+            hhl.linear_system(np.eye(dim), np.eye(dim)[0])
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"t0": np.nan}, {"t0": np.inf}, {"c_tilde": np.nan}, {"c_tilde": np.inf}, {"r": np.inf}, {"r": 2.5}],
+        ids=["t0_nan", "t0_inf", "c_tilde_nan", "c_tilde_inf", "r_inf", "r_fraction"],
+    )
+    def test_rejects_non_finite_and_fractional_values(self, kwargs):
+        with pytest.raises(ValueError):
+            hhl.SolverConfig(**kwargs)
+
+    def test_r_is_stored_as_int(self):
+        r = hhl.SolverConfig(r=2.0).r
+        assert r == 2 and type(r) is int
 
 
 class TestPrepareB:
@@ -110,9 +131,7 @@ class TestPhaseEstimate:
 class TestInversionGates:
     def apply_branch(self, gates, clock_label):
         state = basis_state(2, clock_label).tensor(basis_state(1, 0)).tensor(basis_state(1, 0))
-        for g in gates:
-            state = qc.apply_gate(state, g)
-        return state
+        return qc.run_circuit(state, qc.Circuit(4, tuple(gates)))
 
     def test_linear_mode_amplitudes(self):
         gates = hhl.eigenvalue_inversion_gates(hhl.SolverConfig(rotation_mode="linear", r=2))
@@ -140,9 +159,7 @@ class TestInversionGates:
         estimated = hhl.phase_estimate(s, cfg, PureState(u1))  # clock |01>
         with_anc = estimated.tensor(basis_state(1, 0))
         gates = hhl.eigenvalue_inversion_gates(cfg)
-        state = with_anc
-        for g in gates:
-            state = qc.apply_gate(state, g)
+        state = qc.run_circuit(with_anc, qc.Circuit(4, tuple(gates)))
         clock_probs = state.probabilities().reshape(4, 4).sum(axis=1)
         # label |10> = 2 = 2/lambda_1, per the swap relabeling
         assert clock_probs[2] == pytest.approx(1.0, abs=1e-9)
@@ -150,10 +167,6 @@ class TestInversionGates:
     def test_rejects_wide_clock(self):
         with pytest.raises(SwapPathUnavailable):
             hhl.eigenvalue_inversion_gates(hhl.SolverConfig(clock_qubits=3))
-
-    def test_rejects_unswappable_labels(self):
-        with pytest.raises(SwapPathUnavailable):
-            hhl.eigenvalue_inversion_gates(hhl.SolverConfig(), encoded_values=(1, 2, 3))
 
     @pytest.mark.parametrize("mode", ["linear", "exact"])
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -327,7 +340,7 @@ class TestMaxRelativeError:
 class TestSweeps:
     @pytest.mark.parametrize("b", [[1.0, 0.0], hhl.prepare_b(1.3044332446524245).amplitudes])
     def test_r_sweep_monotone(self, b):
-        rows = hhl.sweep_r(demo_system(b), range(1, 9), "linear")
+        rows = hhl.sweep_r(demo_system(b), range(1, 9))
         errors = [row.max_rel_error for row in rows]
         probs = [row.success_probability for row in rows]
         assert all(e1 >= e2 - 1e-12 for e1, e2 in zip(errors, errors[1:]))
@@ -336,17 +349,17 @@ class TestSweeps:
 
     def test_r2_error_within_budget_for_demo_inputs(self):
         for theta in (1.7419501646378182, 1.3044332446524245, np.pi / 2.0):
-            rows = hhl.sweep_r(demo_system(hhl.prepare_b(theta).amplitudes), [2], "linear")
+            rows = hhl.sweep_r(demo_system(hhl.prepare_b(theta).amplitudes), [2])
             assert rows[0].max_rel_error <= 0.04
 
     def test_t0_sweep_allows_approximate_encodings(self):
         s = demo_system([0.6, 0.8])
-        rows = hhl.sweep_t0(s, [2.0 * np.pi, 2.5 * np.pi, 3.0 * np.pi], "exact")
+        rows = hhl.sweep_t0(s, [2.0 * np.pi, 2.5 * np.pi, 3.0 * np.pi], hhl.SolverConfig(rotation_mode="exact"))
         assert rows[0].max_rel_error < 1e-9  # exact encoding at t0 = 2*pi
         assert rows[1].max_rel_error > 1e-6  # leakage once encoding is inexact
 
     def test_exact_mode_insensitive_to_r(self):
-        rows = hhl.sweep_r(demo_system([1.0, 0.0]), [1, 4], "exact")
+        rows = hhl.sweep_r(demo_system([1.0, 0.0]), [1, 4], hhl.SolverConfig(rotation_mode="exact"))
         assert abs(rows[0].max_rel_error - rows[1].max_rel_error) < 1e-12
 
 

@@ -110,6 +110,11 @@ class TestSynthesizeSpectrum:
             nmr.synthesize_spectrum(basis_state(3, 0).density())
 
 
+# (center, intensity, width) starts for the two-peak fits, away from the
+# true lines at (0.0, 1.0, 1.0) and (3.0, 0.7, 1.0)
+TWO_PEAK_START = [-1.0, 0.5, 2.0, 4.0, 0.5, 2.0]
+
+
 class TestLorentzianFit:
     def sample(self, peaks, freqs):
         total = np.zeros_like(freqs)
@@ -119,7 +124,7 @@ class TestLorentzianFit:
 
     def test_single_peak_noiseless(self):
         freqs = np.linspace(-10.0, 10.0, 400)
-        fitted = nmr.lorentzian_fit(self.sample([(1.3, 2.0, 0.8)], freqs), 1)
+        fitted = nmr.lorentzian_fit(self.sample([(1.3, 2.0, 0.8)], freqs), 1, initial=[0.5, 1.0, 2.0])
         assert fitted[0].center == pytest.approx(1.3, rel=1e-6)
         assert fitted[0].intensity == pytest.approx(2.0, rel=1e-6)
         assert fitted[0].width == pytest.approx(0.8, rel=1e-6)
@@ -127,7 +132,7 @@ class TestLorentzianFit:
     def test_two_overlapping_peaks(self):
         freqs = np.linspace(-10.0, 13.0, 600)
         data = self.sample([(0.0, 1.0, 1.0), (3.0, 0.7, 1.0)], freqs)
-        fitted = nmr.lorentzian_fit(data, 2)
+        fitted = nmr.lorentzian_fit(data, 2, initial=TWO_PEAK_START)
         assert fitted[0].intensity == pytest.approx(1.0, rel=0.01)
         assert fitted[1].intensity == pytest.approx(0.7, rel=0.01)
 
@@ -136,26 +141,31 @@ class TestLorentzianFit:
         freqs = np.linspace(-10.0, 13.0, 600)
         data = self.sample([(0.0, 1.0, 1.0), (3.0, 0.7, 1.0)], freqs)
         data[:, 1] += rng.normal(0.0, 0.01, data.shape[0])
-        fitted = nmr.lorentzian_fit(data, 2)
+        fitted = nmr.lorentzian_fit(data, 2, initial=TWO_PEAK_START)
         ratio = fitted[0].intensity / fitted[1].intensity
         assert abs(ratio - 1.0 / 0.7) / (1.0 / 0.7) < 0.03
 
     def test_too_few_samples_diverges(self):
         with pytest.raises(FitDiverged):
-            nmr.lorentzian_fit(np.array([[0.0, 1.0], [1.0, 0.5], [2.0, 0.2]]), 2)
+            nmr.lorentzian_fit(np.array([[0.0, 1.0], [1.0, 0.5], [2.0, 0.2]]), 2, initial=np.ones(6))
+
+    def test_initial_must_match_peak_count(self):
+        freqs = np.linspace(-10.0, 10.0, 400)
+        with pytest.raises(DimensionMismatch):
+            nmr.lorentzian_fit(self.sample([(1.3, 2.0, 0.8)], freqs), 2, initial=[0.5, 1.0, 2.0])
 
     def test_synthesize_then_fit_round_trip(self):
         s = hhl.linear_system(A_DEMO, [1.0, 0.0])
         state = hhl.theoretical_final_state(s, hhl.SolverConfig(rotation_mode="exact"))
-        molecule = nmr.default_molecule()
+        molecule = nmr.MoleculeParams()
         spectrum = nmr.synthesize_spectrum(state.density(), molecule)
         centers = np.array([p.center for p in spectrum.peaks])
         freqs = np.linspace(centers.min() - 20.0, centers.max() + 20.0, 4096)
         data = np.column_stack([freqs, spectrum.sample(freqs)])
         initial = np.empty(24)
-        initial[0::3] = centers
-        initial[1::3] = [p.intensity for p in spectrum.peaks]
-        initial[2::3] = molecule.linewidth
+        initial[0::3] = centers + 0.3
+        initial[1::3] = [0.8 * p.intensity for p in spectrum.peaks]
+        initial[2::3] = 1.5 * molecule.linewidth
         fitted = nmr.lorentzian_fit(data, 8, initial=initial)
         for peak, fit in zip(spectrum.peaks, fitted):
             assert abs(fit.intensity - peak.intensity) < 1e-6
@@ -166,6 +176,12 @@ class TestMoleculeParams:
         j = np.zeros((4, 4))
         j[0, 1] = 5.0
         with pytest.raises(DimensionMismatch):
+            nmr.MoleculeParams(j_couplings=j)
+
+    def test_rejects_non_finite_couplings(self):
+        j = np.zeros((4, 4))
+        j[0, 1] = j[1, 0] = np.nan
+        with pytest.raises(ValueError):
             nmr.MoleculeParams(j_couplings=j)
 
     def test_rejects_bad_t2(self):

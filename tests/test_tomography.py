@@ -116,13 +116,6 @@ class TestReconstruction:
         with pytest.raises(InsufficientRecords):
             tomo.reconstruct_density(records)
 
-    def test_records_json_round_trip(self):
-        rng = np.random.default_rng(18)
-        rho = random_pure_density(rng)
-        records = tomo.simulate_readout(rho, tomo.pulse_catalog("full"))
-        back = tomo.records_from_json(tomo.records_to_json(records))
-        assert fidelity(tomo.reconstruct_density(back), rho) > 0.999
-
     def test_fit_routed_records_match_exact(self):
         rho = ideal_final_state([1.0, 0.0], mode="exact").density()
         exact = tomo.simulate_readout(rho, tomo.pulse_catalog("partial"))
