@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, nmr, tomography
 from . import circuit as qcirc
 from .config import RunSettings, load_config
-from .errors import ConfigParseError
+from .errors import ConfigParseError, RegisterTooWide
 from .hhl import run_hhl, sweep_r, sweep_t0, theoretical_final_state
 from .qcore import fidelity
 
@@ -104,9 +104,8 @@ def cmd_solve(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
     outputs = ["solve_report.json", "circuit.txt"]
     _write_json(out / "solve_report.json", payload)
     _write_text(out / "circuit.txt", qcirc.circuit_to_text(report.circuit))
-    rho = _final_density(report)
-    if settings.molecule is not None and rho.n_qubits == 4:
-        spectrum = nmr.synthesize_spectrum(rho, settings.molecule)
+    if settings.molecule is not None and report.circuit.n_qubits == 4:
+        spectrum = nmr.synthesize_spectrum(_final_density(report), settings.molecule)
         _write_text(out / "final_spectrum.csv", _spectrum_csv(spectrum))
         outputs.append("final_spectrum.csv")
     return payload, outputs
@@ -138,6 +137,8 @@ def cmd_sweep(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
 
 def cmd_tomography(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
     theory = theoretical_final_state(settings.system, settings.solver)
+    if theory.n_qubits != 4:
+        raise ConfigParseError("tomography needs the 4-qubit layout (2x2 system)")
     builder = _noise_builder(settings)
     if builder is not None:
         report = run_hhl(settings.system, settings.solver, noise_builder=builder)
@@ -182,11 +183,10 @@ def cmd_tomography(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
 
 def cmd_spectrum(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
     report = run_hhl(settings.system, settings.solver, noise_builder=_noise_builder(settings))
-    rho = _final_density(report)
-    if rho.n_qubits != 4:
+    if report.circuit.n_qubits != 4:
         raise ConfigParseError("spectrum export needs the 4-qubit layout (2x2 system)")
     molecule = settings.molecule if settings.molecule is not None else nmr.MoleculeParams()
-    spectrum = nmr.synthesize_spectrum(rho, molecule)
+    spectrum = nmr.synthesize_spectrum(_final_density(report), molecule)
     _write_text(out / "spectrum.csv", _spectrum_csv(spectrum))
     # intensities are quoted relative to the pseudo-pure reference peak,
     # which is 1 for the deviation-scaled states simulated here
@@ -230,8 +230,8 @@ def main(argv=None) -> int:
         _write_json(out / "manifest.json", manifest)
         print(json.dumps(payload, sort_keys=True))
         return 0
-    except ConfigParseError as exc:
-        print(json.dumps({"error": {"type": "ConfigParseError", "message": str(exc)}}), file=sys.stderr)
+    except (ConfigParseError, RegisterTooWide) as exc:
+        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}), file=sys.stderr)
         return 2
     except Exception as exc:  # every failure leaves a structured payload
         print(

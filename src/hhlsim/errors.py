@@ -69,5 +69,9 @@ class ZeroReferenceComponent(HhlsimError):
     """Relative error undefined: a reference component is zero."""
 
 
+class RegisterTooWide(HhlsimError):
+    """Register's final state would exceed the memory budget."""
+
+
 class ConfigParseError(HhlsimError):
     """Run configuration file is malformed or incomplete."""

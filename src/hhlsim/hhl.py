@@ -25,6 +25,7 @@ from .circuit import Circuit, ControlledUnitary, Gate, Hadamard, Swap
 from .errors import (
     EigenvalueNotEncodable,
     NotPositiveDefinite,
+    RegisterTooWide,
     SwapPathUnavailable,
     WidthMismatch,
     ZeroProbabilityBranch,
@@ -81,6 +82,14 @@ def linear_system(a, b, *, normalize: bool = False) -> LinearSystem:
 ROTATION_MODES = ("linear", "exact")
 # clock labels within this of an integer count as exactly encoded
 ENCODING_ATOL = 1e-9
+# Largest final state a run may allocate: 2^n amplitudes (pure) or 4^n
+# entries (density), 16 bytes each; 256 MiB is a 24-qubit state vector
+# or a 12-qubit density matrix.
+MAX_STATE_BYTES = 2**28
+
+
+def _is_positive_int(value) -> bool:
+    return bool(np.isfinite(value) and int(value) == value and value >= 1)
 
 
 @dataclass(frozen=True)
@@ -100,16 +109,17 @@ class SolverConfig:
     c_tilde: float | None = None
 
     def __post_init__(self):
-        if self.clock_qubits < 1:
-            raise ValueError("clock_qubits must be >= 1")
+        if not _is_positive_int(self.clock_qubits):
+            raise ValueError("clock_qubits must be a positive integer")
         if not np.isfinite(self.t0) or self.t0 <= 0.0:
             raise ValueError("t0 must be positive and finite")
-        if not np.isfinite(self.r) or int(self.r) != self.r or self.r < 1:
+        if not _is_positive_int(self.r):
             raise ValueError("r must be a positive integer")
         if self.rotation_mode not in ROTATION_MODES:
             raise ValueError(f"rotation_mode must be one of {ROTATION_MODES}")
         if self.c_tilde is not None and not (np.isfinite(self.c_tilde) and self.c_tilde > 0.0):
             raise ValueError("c_tilde must be positive and finite when given")
+        object.__setattr__(self, "clock_qubits", int(self.clock_qubits))
         object.__setattr__(self, "r", int(self.r))
 
 
@@ -137,6 +147,17 @@ def _check_representable(sys: LinearSystem, cfg: SolverConfig) -> None:
     if np.any(nearest < 1) or np.any(nearest > top):
         raise EigenvalueNotEncodable(
             f"encoded eigenvalues {k} must round into 1..{top} on {cfg.clock_qubits} clock qubits"
+        )
+
+
+def _require_within_budget(sys: LinearSystem, cfg: SolverConfig, *, density: bool) -> None:
+    """Reject a register whose final state would exceed MAX_STATE_BYTES."""
+    n = cfg.clock_qubits + sys.n_solution_qubits + 1
+    size = 16 * (4**n if density else 2**n)
+    if size > MAX_STATE_BYTES:
+        kind = "density matrix" if density else "state vector"
+        raise RegisterTooWide(
+            f"a {n}-qubit {kind} needs {size} bytes, over the {MAX_STATE_BYTES}-byte budget"
         )
 
 
@@ -355,6 +376,7 @@ def theoretical_final_state(sys: LinearSystem, cfg: SolverConfig) -> PureState:
     amplitude sin(theta_j/2) in linear mode and c_tilde/lambda_j in exact
     mode.
     """
+    _require_within_budget(sys, cfg, density=False)
     _require_exact(sys, cfg)
     return _ideal_final_state(sys, cfg)
 
@@ -443,32 +465,40 @@ def run_hhl(
 
     ``noise_builder``, a callable mapping the assembled circuit to a noise
     schedule (so schedules can depend on gate count), routes the run
-    through the density-matrix engine.  x_quantum is the renormalized
-    solution-register state conditioned on ancilla = 1 with the clock
-    traced out.
+    through the density-matrix engine.  Without it the run stays a state
+    vector: only the solution-register density is formed.  x_quantum is
+    the renormalized solution-register state conditioned on ancilla = 1
+    with the clock traced out.  Raises RegisterTooWide before building
+    anything when the final state would exceed MAX_STATE_BYTES.
     """
+    _require_within_budget(sys, cfg, density=noise_builder is not None)
     cfg = resolve_config(sys, cfg)
     c = build_circuit(sys, cfg)
     t, nb = cfg.clock_qubits, sys.n_solution_qubits
     n = c.n_qubits
     ancilla = n - 1
-    b_indices = list(range(t, t + nb))
     initial = basis_state(t, 0).tensor(PureState(sys.b)).tensor(basis_state(1, 0))
+    theory = _ideal_final_state(sys, cfg)
 
     if noise_builder is None:
         final = qcirc.run_circuit(initial, c)
         clock_mass = final.probabilities().reshape(2**t, -1).sum(axis=1)
         clock_residual = float(1.0 - clock_mass[0])
         prob, post = qcirc.measure_qubit(final, ancilla, 1)
-        rho_b = qcore.partial_trace(post.density(), b_indices)
+        # rows of m are the clock values, so tracing out the clock is m^T conj(m)
+        m = post.amplitudes.reshape(2**t, 2**nb, 2)[:, :, 1]
+        rho_b = DensityMatrix(m.T @ m.conj())
+        # qcore.fidelity of the two pure densities: |<a|f>|^2 / (<a|a> <f|f>)
+        a, f = theory.amplitudes, final.amplitudes
+        fid = abs(np.vdot(a, f)) ** 2 / (np.vdot(a, a).real * np.vdot(f, f).real)
         final_density = None
-        rho_final = final.density()
     else:
         rho_final = qcirc.evolve_density(initial.density(), c, noise_builder(c))
         clock_mass = rho_final.populations().reshape(2**t, -1).sum(axis=1)
         clock_residual = float(1.0 - clock_mass[0])
         prob, post_rho = qcirc.measure_qubit(rho_final, ancilla, 1)
-        rho_b = qcore.partial_trace(post_rho, b_indices)
+        rho_b = qcore.partial_trace(post_rho, range(t, t + nb))
+        fid = qcore.fidelity(theory.density(), rho_final)
         final = None
         final_density = rho_final
 
@@ -478,8 +508,6 @@ def run_hhl(
     x_quantum = canonical_phase(_dominant_vector(rho_b))
     x_classical = reference.direct_solve(sys.a, sys.b)
     x_classical = canonical_phase(x_classical / np.linalg.norm(x_classical))
-    theory = _ideal_final_state(sys, cfg)
-    fid = qcore.fidelity(theory.density(), rho_final)
     return SolveReport(
         x_quantum=x_quantum,
         x_classical=x_classical,

@@ -66,8 +66,10 @@ class MoleculeParams:
         t2 = tuple(float(x) for x in self.t2_star_ms)
         if len(t2) != 4 or any(x <= 0.0 for x in t2):
             raise ValueError("need four positive T2* values")
-        if self.linewidth <= 0.0:
-            raise ValueError("linewidth must be positive")
+        if not all(np.isfinite(float(v)) for v in self.chemical_shifts.values()):
+            raise ValueError("chemical shifts must be finite")
+        if not (np.isfinite(self.linewidth) and self.linewidth > 0.0):
+            raise ValueError("linewidth must be positive and finite")
         object.__setattr__(self, "j_couplings", _freeze(j))
         object.__setattr__(self, "t2_star_ms", t2)
 
@@ -103,8 +105,10 @@ class Peak:
     label: str = ""
 
     def __post_init__(self):
-        if self.width <= 0.0:
-            raise ValueError("peak width must be positive")
+        if not np.isfinite(self.center):
+            raise ValueError("peak center must be finite")
+        if not (np.isfinite(self.width) and self.width > 0.0):
+            raise ValueError("peak width must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

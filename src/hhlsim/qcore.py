@@ -185,19 +185,22 @@ class DensityMatrix:
         return np.real(np.diag(self.matrix)).copy()
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        # Tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
+        return float(np.vdot(self.matrix, self.matrix).real)
 
 
 def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """Normalized state overlap Tr(r1 r2) / sqrt(Tr(r1^2) Tr(r2^2)).
 
     Symmetric in its arguments and equal to |<psi|phi>|^2 on pure states.
+    Each trace is an elementwise sum, Tr(r1 r2) = sum conj(r1_ij) r2_ij
+    for Hermitian r1, so no matrix product is formed.
     """
     if rho1.matrix.shape != rho2.matrix.shape:
         raise DimensionMismatch(
             f"density matrices of different dimension: {rho1.matrix.shape} vs {rho2.matrix.shape}"
         )
-    overlap = float(np.real(np.trace(rho1.matrix @ rho2.matrix)))
+    overlap = float(np.vdot(rho1.matrix, rho2.matrix).real)
     denom = np.sqrt(rho1.purity() * rho2.purity())
     return overlap / denom
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hhlsim import cli
+from hhlsim import cli, qcore
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -109,6 +109,44 @@ class TestSolveCommand:
         assert run_cli(["solve", "--config", config, "--out", tmp_path / "o"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigParseError"
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("solve", "clock_qubits = 40"),
+            ("sweep", "clock_qubits = 40"),
+            ("tomography", "clock_qubits = 40"),
+            ("spectrum", "clock_qubits = 40"),
+            ("solve", "clock_qubits = 11\n[noise]\nenabled = on"),
+        ],
+        ids=["solve", "sweep", "tomography", "spectrum", "noisy_solve"],
+    )
+    def test_register_over_budget_exits_2(self, tmp_path, capsys, command, extra):
+        # 42 qubits overflow the state-vector budget, 13 the density budget
+        config = tmp_path / "wide.ini"
+        config.write_text(BASIC_CONFIG + extra + "\n[sweep]\nparameter = r\nvalues = 1 2\n")
+        assert run_cli([command, "--config", config, "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "RegisterTooWide"
+
+    def test_wide_register_builds_no_full_density(self, tmp_path, monkeypatch):
+        widths = []
+        check = qcore.DensityMatrix.__post_init__
+
+        def counting(rho):
+            widths.append(np.shape(rho.matrix)[0])
+            check(rho)
+
+        monkeypatch.setattr(qcore.DensityMatrix, "__post_init__", counting)
+        config = tmp_path / "run.ini"
+        config.write_text(
+            "[system]\nmatrix = 1 0 0 0 ; 0 2 0 0 ; 0 0 1 0 ; 0 0 0 2\nb = 1 1 1 1\n"
+            "[solver]\nmode = exact\n[molecule]\nlinewidth = 1.0\n"
+        )
+        out = tmp_path / "o"
+        assert run_cli(["solve", "--config", config, "--out", out]) == 0
+        assert widths and max(widths) <= 4
+        assert not (out / "final_spectrum.csv").exists()
 
     def test_mode_override(self, tmp_path):
         out_linear = tmp_path / "lin"

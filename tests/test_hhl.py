@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from hhlsim import circuit as qc
-from hhlsim import hhl
+from hhlsim import hhl, qcore, reference
 from hhlsim.errors import (
     DimensionMismatch,
     EigenvalueNotEncodable,
     NotPositiveDefinite,
+    RegisterTooWide,
     SwapPathUnavailable,
     ZeroReferenceComponent,
 )
@@ -52,8 +53,14 @@ class TestLinearSystem:
 class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"t0": np.nan}, {"t0": np.inf}, {"c_tilde": np.nan}, {"c_tilde": np.inf}, {"r": np.inf}, {"r": 2.5}],
-        ids=["t0_nan", "t0_inf", "c_tilde_nan", "c_tilde_inf", "r_inf", "r_fraction"],
+        [
+            {"t0": np.nan}, {"t0": np.inf}, {"c_tilde": np.nan}, {"c_tilde": np.inf}, {"r": np.inf}, {"r": 2.5},
+            {"clock_qubits": 2.5}, {"clock_qubits": np.inf},
+        ],
+        ids=[
+            "t0_nan", "t0_inf", "c_tilde_nan", "c_tilde_inf", "r_inf", "r_fraction",
+            "clock_qubits_fraction", "clock_qubits_inf",
+        ],
     )
     def test_rejects_non_finite_and_fractional_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -62,6 +69,10 @@ class TestSolverConfig:
     def test_r_is_stored_as_int(self):
         r = hhl.SolverConfig(r=2.0).r
         assert r == 2 and type(r) is int
+
+    def test_clock_qubits_is_stored_as_int(self):
+        t = hhl.SolverConfig(clock_qubits=3.0).clock_qubits
+        assert t == 3 and type(t) is int
 
 
 class TestPrepareB:
@@ -282,6 +293,88 @@ class TestRunHhl:
         assert 0.90 <= report.fidelity_4q < 1.0
         assert report.final_density is not None
         assert abs(np.trace(report.final_density.matrix) - 1.0) < 1e-10
+
+
+class TestPureRunStaysStateVector:
+    @pytest.mark.parametrize("mode", hhl.ROTATION_MODES)
+    @pytest.mark.parametrize("n_b", [1, 2, 3])
+    def test_metrics_match_density_formulas(self, monkeypatch, mode, n_b):
+        seen = []
+        dominant = hhl._dominant_vector
+
+        def spy(rho):
+            seen.append(rho.matrix)
+            return dominant(rho)
+
+        monkeypatch.setattr(hhl, "_dominant_vector", spy)
+        rng = np.random.default_rng(40 + n_b)
+        for _ in range(3):
+            s = encodable_system(rng, 2**n_b)
+            cfg = hhl.resolve_config(s, hhl.SolverConfig(rotation_mode=mode, r=3))
+            report = hhl.run_hhl(s, cfg)
+            final = report.final_state
+            _, post = qc.measure_qubit(final, final.n_qubits - 1, 1)
+            rho_b = qcore.partial_trace(post.density(), range(2, 2 + n_b))
+            theory = hhl.theoretical_final_state(s, cfg)
+            fid = qcore.fidelity(theory.density(), final.density())
+            assert np.max(np.abs(seen.pop() - rho_b.matrix)) < 1e-12
+            assert abs(report.fidelity_4q - fid) < 1e-12
+
+    def test_sixteen_qubit_exact_solve(self):
+        s = encodable_system(np.random.default_rng(16), 16)
+        report = hhl.run_hhl(s, hhl.SolverConfig(clock_qubits=11, rotation_mode="exact"))
+        assert len(report.final_state.amplitudes) == 2**16
+        x = reference.direct_solve(s.a, s.b)
+        assert abs(np.vdot(report.x_quantum, x / np.linalg.norm(x))) ** 2 >= 1.0 - 1e-9
+
+    def test_no_density_wider_than_the_solution_register(self, monkeypatch):
+        widths = []
+        check = qcore.DensityMatrix.__post_init__
+
+        def counting(rho):
+            widths.append(np.shape(rho.matrix)[0])
+            check(rho)
+
+        monkeypatch.setattr(qcore.DensityMatrix, "__post_init__", counting)
+        s = encodable_system(np.random.default_rng(10), 8)
+        report = hhl.run_hhl(s, hhl.SolverConfig(clock_qubits=6, rotation_mode="exact"))
+        assert report.final_state.n_qubits == 10
+        assert widths and max(widths) <= 8
+
+
+class TestStateBudget:
+    # widest registers whose final state fits: 2^n * 16 and 4^n * 16 bytes
+    PURE_MAX = int(np.log2(hhl.MAX_STATE_BYTES // 16))
+    DENSITY_MAX = PURE_MAX // 2
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        def refuse(sys, cfg):
+            raise RuntimeError("build_circuit reached")
+
+        monkeypatch.setattr(hhl, "build_circuit", refuse)
+
+    @staticmethod
+    def run(n_qubits, noisy):
+        # the demo system has one solution qubit and one ancilla
+        cfg = hhl.SolverConfig(clock_qubits=n_qubits - 2)
+        hhl.run_hhl(demo_system([1.0, 0.0]), cfg, noise_builder=(lambda c: []) if noisy else None)
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["pure", "noisy"])
+    def test_widest_register_in_budget_goes_on_to_build(self, no_build, noisy):
+        with pytest.raises(RuntimeError, match="build_circuit reached"):
+            self.run(self.DENSITY_MAX if noisy else self.PURE_MAX, noisy)
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["pure", "noisy"])
+    def test_register_over_budget_raises_before_building(self, no_build, noisy):
+        with pytest.raises(RegisterTooWide):
+            self.run((self.DENSITY_MAX if noisy else self.PURE_MAX) + 1, noisy)
+
+    def test_forty_clock_qubits_rejected(self, no_build):
+        with pytest.raises(RegisterTooWide):
+            self.run(42, noisy=False)
+        with pytest.raises(RegisterTooWide):
+            hhl.theoretical_final_state(demo_system([1.0, 0.0]), hhl.SolverConfig(clock_qubits=40))
 
 
 class TestTheoreticalFinalState:

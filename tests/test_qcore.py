@@ -127,6 +127,16 @@ class TestFidelity:
         with pytest.raises(DimensionMismatch):
             fidelity(basis_state(1, 0).density(), basis_state(2, 0).density())
 
+    def test_matches_trace_of_products(self):
+        rng = np.random.default_rng(8)
+        for n in (2, 4, 8, 16):
+            r1, r2 = random_density(rng, n), random_density(rng, n)
+            p1 = np.trace(r1.matrix @ r1.matrix).real
+            p2 = np.trace(r2.matrix @ r2.matrix).real
+            assert abs(r1.purity() - p1) < 1e-12
+            expected = np.trace(r1.matrix @ r2.matrix).real / np.sqrt(p1 * p2)
+            assert abs(fidelity(r1, r2) - expected) < 1e-12
+
 
 class TestPartialTrace:
     def test_product_state(self):
