@@ -30,7 +30,7 @@ def schedule(circuit):
 ideal = hhl.run_hhl(system, cfg)
 noisy = hhl.run_hhl(system, cfg, noise_builder=schedule)
 
-print("pipeline gates:", len(hhl.build_circuit(system, cfg)))
+print("pipeline gates:", len(ideal.circuit))
 print()
 print(f"{'':>24} {'ideal':>12} {'noisy':>12}")
 print(f"{'solution ratio |x1/x2|^2':>24} {ideal.solution_ratio_sq:>12.6f} {noisy.solution_ratio_sq:>12.6f}")

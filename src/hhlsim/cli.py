@@ -79,7 +79,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write_text(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _final_density(report):
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
             "outputs": sorted(outputs + ["manifest.json"]),
         }
         _write_json(out / "manifest.json", manifest)
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
         return 0
     except (ConfigParseError, RegisterTooWide) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}), file=sys.stderr)

@@ -130,16 +130,16 @@ def _load_system(parser: configparser.ConfigParser) -> LinearSystem:
 
 def _load_solver(parser: configparser.ConfigParser) -> SolverConfig:
     section = parser["solver"] if "solver" in parser else {}
-    mode = section.get("mode", "linear").strip().lower() if section else "linear"
+    mode = section.get("mode", "linear").strip().lower()
     if mode not in ("linear", "exact"):
         raise ConfigParseError(f"solver mode must be linear or exact, got {mode!r}")
-    c_tilde_raw = section.get("c_tilde", "default") if section else "default"
+    c_tilde_raw = section.get("c_tilde", "default")
     c_tilde = None if c_tilde_raw.strip().lower() == "default" else _to_float(c_tilde_raw, "c_tilde")
     try:
         return SolverConfig(
-            clock_qubits=int(section.get("clock_qubits", "2")) if section else 2,
-            t0=_parse_float(section, "t0", 2.0 * np.pi) if section else 2.0 * np.pi,
-            r=int(section.get("r", "2")) if section else 2,
+            clock_qubits=int(section.get("clock_qubits", "2")),
+            t0=_parse_float(section, "t0", 2.0 * np.pi),
+            r=int(section.get("r", "2")),
             rotation_mode=mode,
             c_tilde=c_tilde,
         )
@@ -216,9 +216,12 @@ def _load_tomography(parser: configparser.ConfigParser) -> TomographySettings:
     kind = section.get("kind", "full").strip().lower()
     if kind not in ("full", "partial"):
         raise ConfigParseError(f"tomography kind must be full or partial, got {kind!r}")
+    noise_sigma = _parse_float(section, "noise_sigma", 0.0)
+    if noise_sigma < 0.0:
+        raise ConfigParseError(f"noise_sigma = {noise_sigma} must be non-negative")
     return TomographySettings(
         kind=kind,
-        noise_sigma=_parse_float(section, "noise_sigma", 0.0),
+        noise_sigma=noise_sigma,
         fit_peaks=_parse_switch(section, "fit_peaks", False),
     )
 

@@ -37,10 +37,6 @@ class EigenvalueNotEncodable(HhlsimError):
     """Eigenvalue cannot be represented on the clock register as required."""
 
 
-class SwapPathUnavailable(HhlsimError):
-    """The swap-based reciprocal trick does not apply to this configuration."""
-
-
 class SingularMatrix(HhlsimError):
     """Pivot collapsed during elimination; system has no unique solution."""
 

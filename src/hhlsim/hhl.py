@@ -26,7 +26,6 @@ from .errors import (
     EigenvalueNotEncodable,
     NotPositiveDefinite,
     RegisterTooWide,
-    SwapPathUnavailable,
     WidthMismatch,
     ZeroProbabilityBranch,
     ZeroReferenceComponent,
@@ -82,10 +81,14 @@ def linear_system(a, b, *, normalize: bool = False) -> LinearSystem:
 ROTATION_MODES = ("linear", "exact")
 # clock labels within this of an integer count as exactly encoded
 ENCODING_ATOL = 1e-9
-# Largest final state a run may allocate: 2^n amplitudes (pure) or 4^n
-# entries (density), 16 bytes each; 256 MiB is a 24-qubit state vector
-# or a 12-qubit density matrix.
+# Largest final state, and largest circuit, a run may allocate: 2^n
+# amplitudes (pure) or 4^n entries (density), 16 bytes each; 256 MiB is a
+# 24-qubit state vector or a 12-qubit density matrix.
 MAX_STATE_BYTES = 2**28
+# Memory per gate beyond its matrix entries.  tracemalloc puts the 863
+# gates of an n_b = 1, t = 8 circuit at 0.63 MB (0.74 KB each) and the
+# 98,587 of t = 15 at 133 MB (1.34 KB each, as control tuples grow with t).
+GATE_BYTES = 1536
 
 
 def _is_positive_int(value) -> bool:
@@ -140,33 +143,18 @@ def is_exact_encoding(sys: LinearSystem, cfg: SolverConfig) -> bool:
     return bool(np.all(np.abs(k - np.round(k)) <= ENCODING_ATOL))
 
 
-def _check_representable(sys: LinearSystem, cfg: SolverConfig) -> None:
-    k = encoded_eigenvalues(sys, cfg)
-    top = 2**cfg.clock_qubits - 1
-    nearest = np.round(k)
-    if np.any(nearest < 1) or np.any(nearest > top):
-        raise EigenvalueNotEncodable(
-            f"encoded eigenvalues {k} must round into 1..{top} on {cfg.clock_qubits} clock qubits"
-        )
-
-
-def _require_within_budget(sys: LinearSystem, cfg: SolverConfig, *, density: bool) -> None:
-    """Reject a register whose final state would exceed MAX_STATE_BYTES."""
+def _require_within_budget(sys: LinearSystem, cfg: SolverConfig, *, density: bool, circuit: bool) -> None:
+    """Reject a run whose final state, or circuit, would exceed MAX_STATE_BYTES."""
     n = cfg.clock_qubits + sys.n_solution_qubits + 1
-    size = 16 * (4**n if density else 2**n)
-    if size > MAX_STATE_BYTES:
-        kind = "density matrix" if density else "state vector"
-        raise RegisterTooWide(
-            f"a {n}-qubit {kind} needs {size} bytes, over the {MAX_STATE_BYTES}-byte budget"
-        )
-
-
-def _require_exact(sys: LinearSystem, cfg: SolverConfig) -> np.ndarray:
-    _check_representable(sys, cfg)
-    k = encoded_eigenvalues(sys, cfg)
-    if not is_exact_encoding(sys, cfg):
-        raise EigenvalueNotEncodable(f"encoded eigenvalues {k} are not integers")
-    return np.round(k).astype(int)
+    kind = "density matrix" if density else "state vector"
+    needs = {f"a {n}-qubit {kind}": 16 * (4**n if density else 2**n)}
+    if circuit:
+        # per clock value: an evolution block in the QPE, one in its inverse, about 3 gates
+        per_value = 2 * 16 * 4**sys.n_solution_qubits + 3 * GATE_BYTES
+        needs[f"a {cfg.clock_qubits}-qubit clock's circuit"] = 2**cfg.clock_qubits * per_value
+    for what, size in needs.items():
+        if size > MAX_STATE_BYTES:
+            raise RegisterTooWide(f"{what} needs {size} bytes, over the {MAX_STATE_BYTES}-byte budget")
 
 
 def _clock_pattern(value: int, t: int) -> tuple[tuple[int, int], ...]:
@@ -187,39 +175,15 @@ def conditional_evolution(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
     targets = tuple(range(t, t + nb))
     gates: list[Gate] = []
     for tau in range(big_t):
-        u = qcore.matrix_exp_hermitian(sys.a, tau * cfg.t0 / big_t)
+        u = qcore.matrix_exp_hermitian(sys.spectrum, tau * cfg.t0 / big_t)
         gates.append(ControlledUnitary(_clock_pattern(tau, t), targets, u))
     return gates
 
 
-def _qpe_circuit(sys: LinearSystem, cfg: SolverConfig, n_qubits: int) -> Circuit:
-    gates: list[Gate] = [Hadamard(q) for q in range(cfg.clock_qubits)]
-    gates.extend(conditional_evolution(sys, cfg))
-    gates.extend(qcirc.qft(cfg.clock_qubits).gates)
-    return Circuit(n_qubits, tuple(gates))
-
-
-def phase_estimate(sys: LinearSystem, cfg: SolverConfig, b_state: PureState) -> PureState:
-    """Run phase estimation on |0..0>_clock (x) |b>.
-
-    With exactly encodable eigenvalues the output is sum_j beta_j
-    |lambda_j t0/2pi>|u_j>; otherwise amplitude leaks to neighboring clock
-    labels, which clock_leakage() quantifies.
-    """
-    if 2**b_state.n_qubits != len(sys.b):
-        raise WidthMismatch("b state width does not match the system dimension")
-    _check_representable(sys, cfg)
-    n = cfg.clock_qubits + b_state.n_qubits
-    initial = basis_state(cfg.clock_qubits, 0).tensor(b_state)
-    return qcirc.run_circuit(initial, _qpe_circuit(sys, cfg, n))
-
-
-def clock_leakage(state: PureState, sys: LinearSystem, cfg: SolverConfig) -> float:
-    """Probability mass on clock labels other than the nearest-integer encodings."""
+def _qpe_gates(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
+    """Phase estimation: clock superposition, conditional evolution, QFT."""
     t = cfg.clock_qubits
-    expected = {int(k) for k in np.round(encoded_eigenvalues(sys, cfg))}
-    probs = state.probabilities().reshape(2**t, -1).sum(axis=1)
-    return float(sum(p for label, p in enumerate(probs) if label not in expected))
+    return [Hadamard(q) for q in range(t)] + conditional_evolution(sys, cfg) + list(qcirc.qft(t).gates)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +232,10 @@ def eigenvalue_inversion_gates(cfg: SolverConfig, n_solution_qubits: int = 1) ->
     rotates each relabeled clock value by 2*arcsin(c_tilde/lambda_j).
 
     Only a two-qubit clock supports this permutation, and only clock labels
-    1 and 2 are inverted by it; swap_path_available checks a system's
-    labels.
+    1 and 2 are inverted by it; build_circuit takes this path only when
+    swap_path_available.
     """
     t = cfg.clock_qubits
-    if t != 2:
-        raise SwapPathUnavailable(f"swap relabeling is defined for 2 clock qubits, not {t}")
     ancilla = t + n_solution_qubits
     gates: list[Gate] = [Swap(0, 1)]
 
@@ -313,36 +275,44 @@ def swap_path_available(sys: LinearSystem, cfg: SolverConfig) -> bool:
 
 
 def resolve_config(sys: LinearSystem, cfg: SolverConfig) -> SolverConfig:
-    """Fill the c_tilde default and validate it against the spectrum."""
-    if cfg.rotation_mode != "exact":
-        return cfg
-    lam_min = float(sys.spectrum.eigenvalues.min())
-    if cfg.c_tilde is not None and cfg.c_tilde > lam_min + 1e-9:
-        raise ValueError(f"c_tilde {cfg.c_tilde} exceeds the smallest eigenvalue {lam_min}")
-    if cfg.c_tilde is None or cfg.c_tilde > lam_min:
-        # clamp the tolerated excess so c_tilde/lambda <= 1 on every eigenvalue
-        return replace(cfg, c_tilde=lam_min)
+    """Fill the c_tilde default and check ``cfg`` against the spectrum.
+
+    The one place a config meets a system; the pipeline stages take its
+    result as given.
+    """
+    if cfg.rotation_mode == "exact":
+        lam_min = float(sys.spectrum.eigenvalues.min())
+        if cfg.c_tilde is not None and cfg.c_tilde > lam_min + 1e-9:
+            raise ValueError(f"c_tilde {cfg.c_tilde} exceeds the smallest eigenvalue {lam_min}")
+        if cfg.c_tilde is None or cfg.c_tilde > lam_min:
+            # clamp the tolerated excess so c_tilde/lambda <= 1 on every eigenvalue
+            cfg = replace(cfg, c_tilde=lam_min)
+    k = encoded_eigenvalues(sys, cfg)
+    top = 2**cfg.clock_qubits - 1
+    nearest = np.round(k)
+    if np.any(nearest < 1) or np.any(nearest > top):
+        raise EigenvalueNotEncodable(
+            f"encoded eigenvalues {k} must round into 1..{top} on {cfg.clock_qubits} clock qubits"
+        )
     return cfg
 
 
 def build_circuit(sys: LinearSystem, cfg: SolverConfig) -> Circuit:
     """Assemble the full pipeline circuit (measurement excluded).
 
-    The uncompute block starts by undoing the inversion-stage clock swap
-    (when the fast path is used) and then inverts the phase estimation, so
-    the clock returns to |0..0> under exact encoding.
+    ``cfg`` comes from resolve_config.  The uncompute block undoes the
+    inversion-stage clock swap (on the fast path), then the phase
+    estimation, so the clock returns to |0..0> under exact encoding.
     """
-    cfg = resolve_config(sys, cfg)
-    _check_representable(sys, cfg)
     t, nb = cfg.clock_qubits, sys.n_solution_qubits
     n = t + nb + 1
-    qpe = _qpe_circuit(sys, cfg, n)
+    qpe = _qpe_gates(sys, cfg)
     if swap_path_available(sys, cfg):
         inversion = eigenvalue_inversion_gates(cfg, nb)
         inversion.append(Swap(0, 1))
     else:
         inversion = _general_inversion_gates(cfg, nb)
-    gates = tuple(qpe.gates) + tuple(inversion) + tuple(qpe.inverse().gates)
+    gates = qpe + inversion + list(Circuit(n, qpe).inverse().gates)
     registers = {
         "clock": tuple(range(t)),
         "b": tuple(range(t, t + nb)),
@@ -356,7 +326,7 @@ def build_circuit(sys: LinearSystem, cfg: SolverConfig) -> Circuit:
 
 
 def _ideal_final_state(sys: LinearSystem, cfg: SolverConfig) -> PureState:
-    cfg = resolve_config(sys, cfg)
+    """The pre-measurement output for a resolve_config result ``cfg``."""
     t, nb = cfg.clock_qubits, sys.n_solution_qubits
     beta = sys.expansion_coefficients()
     _, sin_part, cos_part = _inversion_rotation(cfg, sys.spectrum.eigenvalues)
@@ -376,8 +346,10 @@ def theoretical_final_state(sys: LinearSystem, cfg: SolverConfig) -> PureState:
     amplitude sin(theta_j/2) in linear mode and c_tilde/lambda_j in exact
     mode.
     """
-    _require_within_budget(sys, cfg, density=False)
-    _require_exact(sys, cfg)
+    _require_within_budget(sys, cfg, density=False, circuit=False)
+    cfg = resolve_config(sys, cfg)
+    if not is_exact_encoding(sys, cfg):
+        raise EigenvalueNotEncodable(f"encoded eigenvalues {encoded_eigenvalues(sys, cfg)} are not integers")
     return _ideal_final_state(sys, cfg)
 
 
@@ -423,10 +395,10 @@ class SolveReport:
     circuit: Circuit | None = None
 
     @property
-    def solution_ratio_sq(self) -> float:
-        """|x_1 / x_2|^2 for two-component solutions (nan otherwise)."""
+    def solution_ratio_sq(self) -> float | None:
+        """|x_1 / x_2|^2 for two-component solutions with x_2 != 0 (None otherwise)."""
         if len(self.x_quantum) != 2 or abs(self.x_quantum[1]) == 0.0:
-            return float("nan")
+            return None
         return float(abs(self.x_quantum[0]) ** 2 / abs(self.x_quantum[1]) ** 2)
 
     def to_dict(self) -> dict:
@@ -469,9 +441,10 @@ def run_hhl(
     vector: only the solution-register density is formed.  x_quantum is
     the renormalized solution-register state conditioned on ancilla = 1
     with the clock traced out.  Raises RegisterTooWide before building
-    anything when the final state would exceed MAX_STATE_BYTES.
+    anything when the final state or the circuit would exceed
+    MAX_STATE_BYTES.
     """
-    _require_within_budget(sys, cfg, density=noise_builder is not None)
+    _require_within_budget(sys, cfg, density=noise_builder is not None, circuit=True)
     cfg = resolve_config(sys, cfg)
     c = build_circuit(sys, cfg)
     t, nb = cfg.clock_qubits, sys.n_solution_qubits

@@ -108,13 +108,12 @@ def eig_hermitian(a) -> Spectrum:
     return Spectrum(w, v)
 
 
-def matrix_exp_hermitian(a, t: float) -> np.ndarray:
-    """Unitary exp(-i A t) of a Hermitian generator, via eigendecomposition.
+def matrix_exp_hermitian(s: Spectrum, t: float) -> np.ndarray:
+    """Unitary exp(-i A t) of a Hermitian generator given by its spectrum.
 
     Exact (to rounding) for the small dense matrices this package targets,
     which is why no product-formula approximation is used.
     """
-    s = eig_hermitian(a)
     phases = np.exp(-1j * s.eigenvalues * float(t))
     return (s.eigenvectors * phases) @ s.eigenvectors.conj().T
 

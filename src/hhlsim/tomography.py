@@ -184,6 +184,8 @@ def simulate_readout(
     """
     if rho.n_qubits != _N_QUBITS:
         raise DimensionMismatch("readout simulation expects a 4-qubit state")
+    if noise_sigma < 0.0:
+        raise ValueError(f"noise_sigma {noise_sigma} must be non-negative")
     if noise_sigma > 0.0 and rng is None:
         raise ValueError("noisy readout needs an explicit seeded generator")
     if fit_via_spectrum and molecule is None:

@@ -42,6 +42,19 @@ class TestSolveCommand:
         assert (out / "manifest.json").exists()
         assert (out / "final_spectrum.csv").exists()
 
+    def test_ratio_without_two_components_is_null(self, tmp_path, capsys):
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        config = tmp_path / "run.ini"
+        config.write_text("[system]\nmatrix = 1 0 0 0 ; 0 2 0 0 ; 0 0 1 0 ; 0 0 0 2\nb = 1 1 1 1\n")
+        out = tmp_path / "out"
+        assert run_cli(["solve", "--config", config, "--out", out]) == 0
+        stdout = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        report = json.loads((out / "solve_report.json").read_text(), parse_constant=refuse)
+        assert stdout["solution_ratio_sq"] is None
+        assert report["solution_ratio_sq"] is None
+
     def test_b10_exact_solution(self, tmp_path):
         config = tmp_path / "run.ini"
         config.write_text(BASIC_CONFIG)
@@ -85,10 +98,11 @@ class TestSolveCommand:
             ("tomography", "[noise]\nseed = -1\n[tomography]\nnoise_sigma = 0.01", ()),
             ("tomography", "[tomography]\nnoise_sigma = 0.01", ("--seed", "-1")),
             ("spectrum", "[molecule]\nj_couplings = 0 nan 0 0 ; nan 0 0 0 ; 0 0 0 0 ; 0 0 0 0", ()),
+            ("tomography", "[noise]\nseed = 1\n[tomography]\nnoise_sigma = -0.01", ()),
         ],
         ids=[
             "c_tilde", "t0", "seed", "duration", "pulse_error", "t2_star", "sweep_values",
-            "negative_seed", "negative_seed_flag", "j_couplings_nan",
+            "negative_seed", "negative_seed_flag", "j_couplings_nan", "negative_noise_sigma",
         ],
     )
     def test_bad_config_values_rejected(self, tmp_path, capsys, command, extra, flags):

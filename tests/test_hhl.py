@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hhlsim import circuit as qc
 from hhlsim import hhl, qcore, reference
@@ -8,7 +9,6 @@ from hhlsim.errors import (
     EigenvalueNotEncodable,
     NotPositiveDefinite,
     RegisterTooWide,
-    SwapPathUnavailable,
     ZeroReferenceComponent,
 )
 from hhlsim.qcore import PureState, basis_state
@@ -109,7 +109,7 @@ class TestConditionalEvolution:
         cols = [qc.run_circuit(basis_state(3, i), c).amplitudes for i in range(8)]
         got = np.array(cols).T
         # independent assembly of sum_tau |tau><tau| (x) U^tau
-        u1 = hhl.qcore.matrix_exp_hermitian(s.a, cfg.t0 / 4.0)
+        u1 = scipy.linalg.expm(-1j * s.a * cfg.t0 / 4.0)
         expected = np.zeros((8, 8), dtype=complex)
         for tau in range(4):
             proj = np.zeros((4, 4))
@@ -118,25 +118,30 @@ class TestConditionalEvolution:
         assert np.max(np.abs(got - expected)) < 1e-10
 
 
+def phase_estimate(s, b):
+    """Phase estimation of the demo system on |00>_clock (x) |b>."""
+    initial = basis_state(2, 0).tensor(PureState(b))
+    return qc.run_circuit(initial, qc.Circuit(3, tuple(hhl._qpe_gates(s, hhl.SolverConfig()))))
+
+
 class TestPhaseEstimate:
     def test_eigenvector_inputs_write_their_labels(self):
         s = demo_system([1.0, 0.0])
-        cfg = hhl.SolverConfig()
         for j, label in ((0, 1), (1, 2)):
-            u = s.spectrum.eigenvectors[:, j]
-            out = hhl.phase_estimate(s, cfg, PureState(u))
+            out = phase_estimate(s, s.spectrum.eigenvectors[:, j])
             clock_probs = out.probabilities().reshape(4, 2).sum(axis=1)
             assert clock_probs[label] == pytest.approx(1.0, abs=1e-9)
 
     def test_generic_input_splits_evenly(self):
         s = demo_system([1.0, 0.0])
-        out = hhl.phase_estimate(s, hhl.SolverConfig(), PureState(np.array([1.0, 0.0], dtype=complex)))
+        out = phase_estimate(s, np.array([1.0, 0.0], dtype=complex))
         beta = s.expansion_coefficients()
         assert np.allclose(np.abs(beta), [1.0, 1.0] / np.sqrt(2.0), atol=1e-12)
         clock_probs = out.probabilities().reshape(4, 2).sum(axis=1)
         assert clock_probs[1] == pytest.approx(0.5, abs=1e-9)
         assert clock_probs[2] == pytest.approx(0.5, abs=1e-9)
-        assert hhl.clock_leakage(out, s, hhl.SolverConfig()) < 1e-10
+        # no mass leaks to the labels 0 and 3 that no eigenvalue encodes
+        assert clock_probs[0] + clock_probs[3] < 1e-10
 
 
 class TestInversionGates:
@@ -166,18 +171,13 @@ class TestInversionGates:
     def test_swap_relabels_clock(self):
         s = demo_system([1.0, 0.0])
         cfg = hhl.SolverConfig()
-        u1 = s.spectrum.eigenvectors[:, 0]
-        estimated = hhl.phase_estimate(s, cfg, PureState(u1))  # clock |01>
+        estimated = phase_estimate(s, s.spectrum.eigenvectors[:, 0])  # clock |01>
         with_anc = estimated.tensor(basis_state(1, 0))
         gates = hhl.eigenvalue_inversion_gates(cfg)
         state = qc.run_circuit(with_anc, qc.Circuit(4, tuple(gates)))
         clock_probs = state.probabilities().reshape(4, 4).sum(axis=1)
         # label |10> = 2 = 2/lambda_1, per the swap relabeling
         assert clock_probs[2] == pytest.approx(1.0, abs=1e-9)
-
-    def test_rejects_wide_clock(self):
-        with pytest.raises(SwapPathUnavailable):
-            hhl.eigenvalue_inversion_gates(hhl.SolverConfig(clock_qubits=3))
 
     @pytest.mark.parametrize("mode", ["linear", "exact"])
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -250,6 +250,19 @@ class TestRunHhl:
             assert abs(np.vdot(report.x_quantum, report.x_classical)) > 1.0 - 1e-9
             assert report.clock_residual < 1e-10
 
+    @pytest.mark.parametrize("n_b", [1, 2, 3])
+    def test_pipeline_reuses_the_system_spectrum(self, monkeypatch, n_b):
+        s = encodable_system(np.random.default_rng(n_b), 2**n_b)
+
+        def refuse(a):
+            raise AssertionError("A decomposed again after linear_system")
+
+        monkeypatch.setattr(qcore, "eig_hermitian", refuse)
+        cfg = hhl.resolve_config(s, hhl.SolverConfig(rotation_mode="exact"))
+        assert len(hhl.build_circuit(s, cfg)) > 0
+        report = hhl.run_hhl(s, cfg)
+        assert abs(np.vdot(report.x_quantum, report.x_classical)) > 1.0 - 1e-9
+
     def test_unencodable_spectrum_rejected(self):
         s = hhl.linear_system(np.diag([5.0, 2.0]), [0.6, 0.8])
         with pytest.raises(EigenvalueNotEncodable):
@@ -265,7 +278,8 @@ class TestRunHhl:
         cfg = hhl.SolverConfig(rotation_mode="exact", c_tilde=1.0 + 5e-10)
         default = hhl.SolverConfig(rotation_mode="exact")
         assert hhl.resolve_config(s, cfg).c_tilde == float(s.spectrum.eigenvalues.min())
-        assert len(hhl.build_circuit(s, cfg)) == len(hhl.build_circuit(s, default)) == 24
+        circuits = [hhl.build_circuit(s, hhl.resolve_config(s, c)) for c in (cfg, default)]
+        assert len(circuits[0]) == len(circuits[1]) == 24
         theory = hhl.theoretical_final_state(s, cfg).amplitudes
         assert np.array_equal(theory, hhl.theoretical_final_state(s, default).amplitudes)
         report = hhl.run_hhl(s, cfg)
@@ -343,9 +357,12 @@ class TestPureRunStaysStateVector:
 
 
 class TestStateBudget:
-    # widest registers whose final state fits: 2^n * 16 and 4^n * 16 bytes
-    PURE_MAX = int(np.log2(hhl.MAX_STATE_BYTES // 16))
-    DENSITY_MAX = PURE_MAX // 2
+    # Widest demo registers (one solution qubit, one ancilla) that fit.  A
+    # pure run is bound by its circuit, 2^t * (2 * 64 + 3 * GATE_BYTES)
+    # bytes: 155 MB at t = 15.  A noisy run is bound by its 4^n * 16-byte
+    # final state.
+    PURE_MAX = 17
+    DENSITY_MAX = int(np.log2(hhl.MAX_STATE_BYTES // 16)) // 2
 
     @pytest.fixture
     def no_build(self, monkeypatch):
@@ -369,6 +386,15 @@ class TestStateBudget:
     def test_register_over_budget_raises_before_building(self, no_build, noisy):
         with pytest.raises(RegisterTooWide):
             self.run((self.DENSITY_MAX if noisy else self.PURE_MAX) + 1, noisy)
+
+    def test_circuit_over_budget_raises_before_building(self, no_build):
+        # a 24-qubit state vector fits, but 2^22 clock values need 20 GB of gates
+        with pytest.raises(RegisterTooWide, match="circuit"):
+            self.run(24, noisy=False)
+        # a 16 MiB state vector, but 2 * 2^10 evolution blocks of 4 MiB each
+        wide = hhl.linear_system(np.eye(512), np.eye(512)[0])
+        with pytest.raises(RegisterTooWide, match="circuit"):
+            hhl.run_hhl(wide, hhl.SolverConfig(clock_qubits=10))
 
     def test_forty_clock_qubits_rejected(self, no_build):
         with pytest.raises(RegisterTooWide):

@@ -77,6 +77,10 @@ class TestSimulateReadout:
         for i in range(8):
             assert np.real(rec.peak_amplitudes[i]) == pytest.approx(pops[i] - pops[i + 8], abs=1e-12)
 
+    def test_negative_noise_rejected(self):
+        with pytest.raises(ValueError):
+            tomo.simulate_readout(basis_state(4, 0).density(), tomo.pulse_catalog("partial"), noise_sigma=-0.01)
+
     def test_noise_requires_generator(self):
         with pytest.raises(ValueError):
             tomo.simulate_readout(basis_state(4, 0).density(), tomo.pulse_catalog("partial"), noise_sigma=0.01)
