@@ -167,14 +167,14 @@ def cmd_tomography(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
         payload["fidelity"] = fidelity(rho_hat, theory.density())
     else:
         partial = tomography.extract_solution_partial(records)
-        solve_report = run_hhl(settings.system, settings.solver)
+        c_sq, d_sq = theory.probabilities()[list(tomography.SOLUTION_STATES)]
         payload.update(
             {
                 "c_sq": partial.c_sq,
                 "d_sq": partial.d_sq,
                 "phase_sign": partial.phase_sign,
                 "ratio": partial.ratio,
-                "solve_ratio": solve_report.solution_ratio_sq,
+                "solve_ratio": float(c_sq / d_sq) if d_sq != 0.0 else None,
             }
         )
     _write_json(out / "tomography_report.json", payload)

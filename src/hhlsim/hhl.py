@@ -330,12 +330,11 @@ def _ideal_final_state(sys: LinearSystem, cfg: SolverConfig) -> PureState:
     t, nb = cfg.clock_qubits, sys.n_solution_qubits
     beta = sys.expansion_coefficients()
     _, sin_part, cos_part = _inversion_rotation(cfg, sys.spectrum.eigenvalues)
-    clock0 = np.zeros(2**t, dtype=complex)
-    clock0[0] = 1.0
+    anc = np.stack([cos_part, sin_part], axis=1)
+    # branch j is beta_j |0>_clock |u_j> |anc_j>, summed in eigenvalue order
+    branches = beta[:, None, None] * (sys.spectrum.eigenvectors.T[:, :, None] * anc[:, None, :])
     amp = np.zeros(2 ** (t + nb + 1), dtype=complex)
-    for j in range(len(beta)):
-        anc = np.array([cos_part[j], sin_part[j]], dtype=complex)
-        amp += beta[j] * np.kron(clock0, np.kron(sys.spectrum.eigenvectors[:, j], anc))
+    amp[: 2 ** (nb + 1)] = branches.sum(axis=0).ravel()
     return PureState(amp)
 
 

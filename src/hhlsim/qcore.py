@@ -54,7 +54,6 @@ def require_hermitian(a) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    u = as_complex_matrix(u)
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 

@@ -54,22 +54,14 @@ PARTIAL_CATALOG_NAMES = (
     "YEEE", "YEEE*swap12", "YEEE*swap13", "YEEE*swap14", "XEEE*swap13",
 )
 
-
-def _index_swap_permutation(i: int, j: int) -> list[int]:
-    """Image of each basis index when qubits i and j (0-based) of 4 are exchanged."""
-    perm = []
-    for m in range(_DIM):
-        bits = [(m >> (3 - k)) & 1 for k in range(4)]
-        bits[i], bits[j] = bits[j], bits[i]
-        perm.append(sum(b << (3 - k) for k, b in enumerate(bits)))
-    return perm
+# The solution basis states |0001> and |0011>: clock 00, b = 0 or 1, ancilla 1.
+SOLUTION_STATES = (0b0001, 0b0011)
 
 
 def _swap_permutation(i: int, j: int) -> np.ndarray:
     """Permutation matrix exchanging qubits i and j (0-based) on 4 qubits."""
-    perm = np.zeros((_DIM, _DIM), dtype=complex)
-    perm[_index_swap_permutation(i, j), np.arange(_DIM)] = 1.0
-    return perm
+    ident = np.eye(_DIM, dtype=complex).reshape((2,) * (2 * _N_QUBITS))
+    return np.swapaxes(ident, i, j).reshape(_DIM, _DIM)
 
 
 def _segment_matrix(segment: str) -> np.ndarray:
@@ -195,7 +187,7 @@ def simulate_readout(
         u = pulse.operator
         rho_p = u @ rho.matrix @ u.conj().T
         pops = np.real(np.diag(rho_p)).copy()
-        peaks = np.array([2.0 * rho_p[i, i + 8] for i in range(8)])
+        peaks = 2.0 * np.diagonal(rho_p, 8)
         if fit_via_spectrum:
             peaks = _fit_peak_values(np.real(peaks), molecule) + 1j * _fit_peak_values(np.imag(peaks), molecule)
         if noise_sigma > 0.0:
@@ -207,53 +199,56 @@ def simulate_readout(
 # ---------------------------------------------------------------------------
 # Linear-inversion reconstruction
 
+
+def _line_functionals(u: np.ndarray) -> np.ndarray:
+    """What each carbon line reads after pulse ``u``: the (8, 16, 16) array L with
+    2<i| u rho u^dagger |i+8> = sum_ab L[i, a, b] rho[a, b]."""
+    return 2.0 * u[:8, :, None] * u[8:, None, :].conj()
+
+
+def _in_catalog_order(records, names) -> list[MeasurementRecord]:
+    by_name = {rec.pulse: rec for rec in records}
+    missing = [n for n in names if n not in by_name]
+    if missing:
+        raise InsufficientRecords(f"missing {len(missing)} pulses, e.g. {missing[:3]}")
+    return [by_name[n] for n in names]
+
+
 # Real parametrization of a Hermitian rho: 16 diagonal entries, then the
-# real and imaginary parts of the 120 upper-triangle entries.
-_UPPER = [(i, j) for i in range(_DIM) for j in range(i + 1, _DIM)]
-_N_PARAMS = _DIM + 2 * len(_UPPER)
-
-
-def _observable_row(o: np.ndarray) -> np.ndarray:
-    row = np.empty(_N_PARAMS)
-    row[:_DIM] = np.real(np.diag(o))
-    for k, (i, j) in enumerate(_UPPER):
-        row[_DIM + k] = 2.0 * np.real(o[j, i])
-        row[_DIM + len(_UPPER) + k] = -2.0 * np.imag(o[j, i])
-    return row
+# real and imaginary parts of the 120 upper-triangle entries (row-major).
+_ROW, _COL = np.triu_indices(_DIM, 1)
+_N_PARAMS = _DIM * _DIM
 
 
 def _params_to_matrix(x: np.ndarray) -> np.ndarray:
-    m = np.zeros((_DIM, _DIM), dtype=complex)
-    m[np.diag_indices(_DIM)] = x[:_DIM]
-    for k, (i, j) in enumerate(_UPPER):
-        val = x[_DIM + k] + 1j * x[_DIM + len(_UPPER) + k]
-        m[i, j] = val
-        m[j, i] = val.conjugate()
+    m = np.diag(x[:_DIM]).astype(complex)
+    upper = x[_DIM : _DIM + _ROW.size] + 1j * x[_DIM + _ROW.size :]
+    m[_ROW, _COL] = upper
+    m[_COL, _ROW] = upper.conj()
     return m
 
 
 @lru_cache(maxsize=None)
-def _full_design() -> tuple[np.ndarray, np.ndarray]:
-    """Design matrix mapping rho parameters to the full catalog's observables.
+def _full_pinv() -> np.ndarray:
+    """Pseudo-inverse of the design mapping rho parameters to the full catalog's observables.
 
-    Rows: (Re, Im) of each peak amplitude for each pulse, plus the trace.
+    Rows: (Re, Im) of each line amplitude for each pulse, plus the trace.
     Informational completeness is asserted here once per process.
     """
-    rows = []
-    for pulse in pulse_catalog("full"):
-        u = pulse.operator
-        for i in range(8):
-            e = np.outer(u.conj()[i + 8, :], u[i, :])
-            rows.append(_observable_row(e + e.conj().T))
-            rows.append(_observable_row(-1j * (e - e.conj().T)))
-    trace_row = np.zeros(_N_PARAMS)
-    trace_row[:_DIM] = 1.0
-    rows.append(trace_row)
-    design = np.array(rows)
+    pulses = pulse_catalog("full")
+    design = np.zeros((16 * len(pulses) + 1, _N_PARAMS))
+    for k, pulse in enumerate(pulses):
+        f = _line_functionals(pulse.operator)
+        upper, lower = f[:, _ROW, _COL], f[:, _COL, _ROW]
+        diag = np.diagonal(f, axis1=1, axis2=2)
+        coeff = np.concatenate([diag, upper + lower, 1j * (upper - lower)], axis=1)
+        design[16 * k : 16 * (k + 1) : 2] = coeff.real
+        design[16 * k + 1 : 16 * (k + 1) : 2] = coeff.imag
+    design[-1, :_DIM] = 1.0
     rank = np.linalg.matrix_rank(design, tol=1e-8)
     if rank != _N_PARAMS:
         raise HhlsimError(f"full readout catalog is not informationally complete (rank {rank})")
-    return design, np.linalg.pinv(design)
+    return np.linalg.pinv(design)
 
 
 def reconstruct_density(records) -> DensityMatrix:
@@ -262,20 +257,9 @@ def reconstruct_density(records) -> DensityMatrix:
     The raw estimate is projected to the nearest valid state: eigenvalues
     clipped at zero and the trace renormalized.
     """
-    by_name = {rec.pulse: rec for rec in records}
-    missing = [n for n in FULL_CATALOG_NAMES if n not in by_name]
-    if missing:
-        raise InsufficientRecords(f"missing {len(missing)} pulses, e.g. {missing[:3]}")
-    observations = []
-    for name in FULL_CATALOG_NAMES:
-        peaks = by_name[name].peak_amplitudes
-        for i in range(8):
-            observations.append(float(np.real(peaks[i])))
-            observations.append(float(np.imag(peaks[i])))
-    observations.append(1.0)
-    _, pinv = _full_design()
-    params = pinv @ np.asarray(observations)
-    raw = _params_to_matrix(params)
+    peaks = np.array([rec.peak_amplitudes for rec in _in_catalog_order(records, FULL_CATALOG_NAMES)])
+    observations = np.append(np.stack([peaks.real, peaks.imag], axis=-1).ravel(), 1.0)
+    raw = _params_to_matrix(_full_pinv() @ observations)
     w, v = np.linalg.eigh(raw)
     w = np.clip(w, 0.0, None)
     if w.sum() <= 0.0:
@@ -305,7 +289,7 @@ class PartialSolution:
     """Solution-subspace data recovered from the 5-pulse catalog.
 
     ``c_sq`` and ``d_sq`` are the populations of the two solution basis
-    states (|0001> and |0011>), ``phase_sign`` the sign of Re(c * conj(d)).
+    states (``SOLUTION_STATES``), ``phase_sign`` the sign of Re(c * conj(d)).
     """
 
     c_sq: float
@@ -322,28 +306,19 @@ class PartialSolution:
 
 
 @lru_cache(maxsize=None)
-def _partial_design() -> tuple[np.ndarray, np.ndarray]:
-    """Map the 16 populations to the four y-readout records' real peak values.
+def _partial_pinv() -> np.ndarray:
+    """Pseudo-inverse of the map from the 16 populations to the four y-readout
+    records' real line values.
 
     Each record constrains population differences along one hypercube
     direction; with the trace they pin the full diagonal (rank asserted).
     """
-    swaps = {"YEEE": None, "YEEE*swap12": (0, 1), "YEEE*swap13": (0, 2), "YEEE*swap14": (0, 3)}
-    rows = []
-    for name in PARTIAL_CATALOG_NAMES[:4]:
-        perm = list(range(_DIM)) if swaps[name] is None else _index_swap_permutation(*swaps[name])
-        for i in range(8):
-            row = np.zeros(_DIM)
-            row[perm[i]] += 1.0
-            row[perm[i + 8]] -= 1.0
-            rows.append(row)
-    trace_row = np.ones(_DIM)
-    rows.append(trace_row)
-    design = np.array(rows)
+    lines = [_line_functionals(p.operator) for p in pulse_catalog("partial")[:4]]
+    design = np.vstack([np.real(np.diagonal(f, axis1=1, axis2=2)) for f in lines] + [np.ones(_DIM)])
     rank = np.linalg.matrix_rank(design, tol=1e-10)
     if rank != _DIM:
         raise HhlsimError(f"partial catalog does not determine the populations (rank {rank})")
-    return design, np.linalg.pinv(design)
+    return np.linalg.pinv(design)
 
 
 def extract_solution_partial(records) -> PartialSolution:
@@ -353,21 +328,13 @@ def extract_solution_partial(records) -> PartialSolution:
     line 1 reads 2*Re(rho_13), whose sign is the relative phase of the two
     solution components (0 or pi for real systems).
     """
-    by_name = {rec.pulse: rec for rec in records}
-    missing = [n for n in PARTIAL_CATALOG_NAMES if n not in by_name]
-    if missing:
-        raise InsufficientRecords(f"missing pulses {missing}")
-    observations = []
-    for name in PARTIAL_CATALOG_NAMES[:4]:
-        observations.extend(np.real(by_name[name].peak_amplitudes))
-    observations.append(1.0)
-    _, pinv = _partial_design()
-    pops = pinv @ np.asarray(observations)
-    pops = np.clip(pops, 0.0, None)
-    c_sq, d_sq = float(pops[1]), float(pops[3])
+    ordered = _in_catalog_order(records, PARTIAL_CATALOG_NAMES)
+    observations = np.append(np.real([rec.peak_amplitudes for rec in ordered[:4]]).ravel(), 1.0)
+    pops = np.clip(_partial_pinv() @ observations, 0.0, None)
+    c_sq, d_sq = (float(pops[k]) for k in SOLUTION_STATES)
     if c_sq + d_sq < 1e-10:
         raise SubspaceMassTooSmall(f"solution subspace mass {c_sq + d_sq:.3e} below 1e-10")
-    coherence = float(np.real(by_name["XEEE*swap13"].peak_amplitudes[1])) / 2.0
+    coherence = float(np.real(ordered[4].peak_amplitudes[1])) / 2.0
     if abs(coherence) < 1e-12:
         sign = 0
     else:

@@ -4,6 +4,7 @@ import pytest
 from hhlsim import circuit as qc
 from hhlsim.errors import (
     IndexOutOfRange,
+    NotUnitary,
     WidthMismatch,
     ZeroProbabilityBranch,
 )
@@ -301,3 +302,17 @@ class TestSerialization:
     def test_rejects_unknown_lines(self):
         with pytest.raises(ValueError):
             qc.circuit_from_text("QUBITS 2\nBOGUS 0\n")
+
+    def test_rejects_non_unitary_cu_line(self):
+        with pytest.raises(NotUnitary):
+            qc.circuit_from_text("QUBITS 2\nCU 0:1 1 1,0;0,2\n")
+
+
+class TestGateValidation:
+    def test_non_unitary_matrix_rejected(self):
+        with pytest.raises(NotUnitary):
+            qc.ControlledUnitary(((0, 1),), (1,), np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(ValueError):
+            qc.ControlledUnitary((), (0,), np.array([[1.0, 0.0], [0.0, np.nan]]))

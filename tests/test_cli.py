@@ -33,6 +33,16 @@ r = 2
 """
 
 
+# every shipped config that has the section a command needs
+_NEEDED_SECTION = {"solve": "", "sweep": "[sweep]", "tomography": "[tomography]", "spectrum": ""}
+RERUN_CASES = [
+    (command, path.name)
+    for command, section in _NEEDED_SECTION.items()
+    for path in sorted(CONFIG_DIR.glob("*.ini"))
+    if section in path.read_text()
+]
+
+
 class TestSolveCommand:
     def test_experiment3_ratio(self, tmp_path):
         out = tmp_path / "out"
@@ -182,11 +192,14 @@ class TestSolveCommand:
         assert report["noise_enabled"] is True
         assert 0.90 <= report["fidelity_4q"] < 1.0
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize("command, config", RERUN_CASES)
+    def test_byte_identical_reruns(self, tmp_path, command, config):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
-            assert run_cli(["solve", "--config", CONFIG_DIR / "noisy.ini", "--out", out]) == 0
-        for name in ("solve_report.json", "manifest.json", "final_spectrum.csv"):
+            assert run_cli([command, "--config", CONFIG_DIR / config, "--out", out]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -249,6 +262,21 @@ class TestTomographyCommand:
         assert report["kind"] == "partial"
         assert report["ratio"] == pytest.approx(report["solve_ratio"], abs=1e-6)
         assert report["phase_sign"] == -1
+
+    @pytest.mark.parametrize("noise, pipeline_runs", [(None, 0), ("on", 1)])
+    def test_partial_runs_the_pipeline_only_for_noise(self, tmp_path, monkeypatch, noise, pipeline_runs):
+        calls, run_hhl = [], cli.run_hhl
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("noise_builder"))
+            return run_hhl(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_hhl", counting)
+        flags = ["--noise", noise, "--seed", "1"] if noise else []
+        args = ["tomography", "--config", CONFIG_DIR / "b10_exact.ini", "--out", tmp_path / "o"]
+        assert run_cli(args + flags) == 0
+        assert len(calls) == pipeline_runs
+        assert all(builder is not None for builder in calls)
 
     def test_stochastic_readout_requires_seed(self, tmp_path, capsys):
         config = tmp_path / "run.ini"

@@ -13,6 +13,12 @@ def ideal_final_state(b, mode="linear"):
     return hhl.theoretical_final_state(s, hhl.SolverConfig(rotation_mode=mode))
 
 
+def random_mixed_density(rng):
+    g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    rho = g @ g.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
 def random_pure_density(rng):
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
     v /= np.linalg.norm(v)
@@ -41,6 +47,16 @@ class TestPulseCatalog:
         swap = tomo._swap_permutation(0, 3)
         letters = np.kron(qcore.rotation_y(np.pi / 2.0), np.eye(8))
         assert np.max(np.abs(pulse.operator - letters @ swap)) < 1e-12
+
+    @pytest.mark.parametrize("i, j", [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    def test_swap_permutation_swaps_index_bits(self, i, j):
+        perm = tomo._swap_permutation(i, j)
+        for m in range(16):
+            bi, bj = (m >> (3 - i)) & 1, (m >> (3 - j)) & 1
+            swapped = m ^ ((bi ^ bj) << (3 - i)) ^ ((bi ^ bj) << (3 - j))
+            expected = np.zeros(16)
+            expected[swapped] = 1.0
+            assert np.array_equal(perm[:, m], expected)
 
     def test_malformed_names_rejected(self):
         for name in ("EEE", "EEEZ", "swap15*EEEE", "swap1*EEEE"):
@@ -109,6 +125,12 @@ class TestReconstruction:
             rho = random_pure_density(rng)
             assert fidelity(self.roundtrip(rho), rho) > 0.999
 
+    def test_full_rank_mixed_states_exact(self):
+        rng = np.random.default_rng(18)
+        for _ in range(5):
+            rho = random_mixed_density(rng)
+            assert np.max(np.abs(self.roundtrip(rho).matrix - rho.matrix)) < 1e-12
+
     def test_mildly_noisy_records(self):
         rng = np.random.default_rng(17)
         rho = ideal_final_state([1.0, 0.0]).density()
@@ -152,6 +174,13 @@ class TestPartialExtraction:
             amp = state.amplitudes
             assert result.c_sq == pytest.approx(abs(amp[0b0001]) ** 2, abs=1e-9)
             assert result.d_sq == pytest.approx(abs(amp[0b0011]) ** 2, abs=1e-9)
+
+    def test_populations_equal_the_diagonal(self):
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            rho = random_mixed_density(rng)
+            result = self.extract(rho)
+            assert np.max(np.abs(result.populations - np.real(np.diag(rho.matrix)))) < 1e-12
 
     def test_degenerate_branch_reports_populations(self):
         amp = np.zeros(16, dtype=complex)
