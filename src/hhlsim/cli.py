@@ -164,7 +164,7 @@ def cmd_tomography(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
     }
     if tset.kind == "full":
         rho_hat = tomography.reconstruct_density(records)
-        payload["fidelity"] = fidelity(rho_hat, theory.density())
+        payload["fidelity"] = fidelity(rho_hat, theory.density() if builder is not None else rho)
     else:
         partial = tomography.extract_solution_partial(records)
         c_sq, d_sq = theory.probabilities()[list(tomography.SOLUTION_STATES)]

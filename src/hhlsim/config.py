@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nmr
+from . import nmr, tomography
 from .errors import ConfigParseError, HhlsimError
 from .hhl import LinearSystem, SolverConfig, linear_system, prepare_b
 
@@ -236,7 +236,7 @@ def load_config(path) -> RunSettings:
         raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigParseError(f"malformed config: {exc}") from exc
-    return RunSettings(
+    settings = RunSettings(
         system=_load_system(parser),
         solver=_load_solver(parser),
         noise=_load_noise(parser),
@@ -245,3 +245,9 @@ def load_config(path) -> RunSettings:
         tomography=_load_tomography(parser),
         raw_text=text,
     )
+    if settings.tomography.fit_peaks and settings.molecule is not None:
+        try:
+            tomography.fit_grid(settings.molecule)
+        except HhlsimError as exc:
+            raise ConfigParseError(f"fit_peaks = on: {exc}") from exc
+    return settings

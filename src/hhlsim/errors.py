@@ -53,6 +53,10 @@ class FitDiverged(HhlsimError):
     """Peak fit failed to converge within the iteration budget."""
 
 
+class UnresolvedLines(HhlsimError):
+    """Two carbon lines lie closer than the fitted spectrum's sample spacing."""
+
+
 class InsufficientRecords(HhlsimError):
     """Tomography records do not cover the required pulse catalog."""
 

@@ -175,8 +175,9 @@ def synthesize_spectrum(rho: DensityMatrix, params: MoleculeParams | None = None
     return CarbonSpectrum(tuple(peaks))
 
 
-# Iteration budget of lorentzian_fit; least_squares counts it in function
-# evaluations, 3 * n_peaks + 1 per iteration.
+# Budget of lorentzian_fit in residual evaluations.  MINPACK's lmder, which
+# least_squares(method="lm") runs with the analytic Jacobian, makes about one
+# evaluation per iteration, so this is also about 200 iterations.
 _MAX_ITERATIONS = 200
 
 
@@ -210,8 +211,12 @@ def lorentzian_fit(samples, n_peaks: int, *, initial) -> list[FittedPeak]:
     """Least-squares fit of a sum of Lorentzians to sampled (freq, amplitude) data.
 
     ``initial`` is the starting point, (center, intensity, width) per peak.
-    Damped least squares (Levenberg-Marquardt) with the analytic Jacobian;
-    raises FitDiverged when the iteration budget runs out before the
+    A start whose Lorentzian sum equals every sample exactly is returned as
+    it is, without running the solver: with zero residual the solver's
+    gradient test passes at once and it would return the start unchanged.
+    Any other start goes to damped least squares (Levenberg-Marquardt) with
+    the analytic Jacobian, which raises FitDiverged when the budget of
+    ``_MAX_ITERATIONS`` residual evaluations runs out before the
     relative-change convergence threshold (1e-8) is met.
     """
     data = np.asarray(samples, dtype=float)
@@ -225,21 +230,24 @@ def lorentzian_fit(samples, n_peaks: int, *, initial) -> list[FittedPeak]:
     x0 = np.asarray(initial, dtype=float).reshape(-1)
     if x0.size != 3 * n_peaks:
         raise DimensionMismatch(f"initial needs {3 * n_peaks} values for {n_peaks} peaks, got {x0.size}")
-    result = least_squares(
-        _fit_residuals,
-        x0,
-        jac=_fit_jacobian,
-        args=(f, y),
-        method="lm",
-        ftol=1e-8,
-        xtol=1e-8,
-        max_nfev=_MAX_ITERATIONS * (3 * n_peaks + 1),
-    )
-    if result.status == 0 or not result.success:
-        raise FitDiverged(f"no convergence within the iteration budget (status {result.status})")
+    x = x0
+    if np.any(_fit_residuals(x0, f, y)):
+        result = least_squares(
+            _fit_residuals,
+            x0,
+            jac=_fit_jacobian,
+            args=(f, y),
+            method="lm",
+            ftol=1e-8,
+            xtol=1e-8,
+            max_nfev=_MAX_ITERATIONS,
+        )
+        if not result.success:
+            raise FitDiverged(f"no convergence within the evaluation budget (status {result.status})")
+        x = result.x
     peaks = [
         FittedPeak(center=float(c), intensity=float(h), width=float(abs(w)))
-        for c, h, w in result.x.reshape(-1, 3)
+        for c, h, w in x.reshape(-1, 3)
     ]
     peaks.sort(key=lambda p: p.center)
     return peaks

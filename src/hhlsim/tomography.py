@@ -27,6 +27,7 @@ from .errors import (
     HhlsimError,
     InsufficientRecords,
     SubspaceMassTooSmall,
+    UnresolvedLines,
 )
 from .qcore import DensityMatrix, _freeze
 
@@ -137,17 +138,35 @@ class MeasurementRecord:
         object.__setattr__(self, "peak_amplitudes", _freeze(peaks))
 
 
-def _fit_peak_values(values: np.ndarray, molecule: nmr.MoleculeParams) -> np.ndarray:
-    """Round-trip real peak values through a rendered spectrum and a Lorentzian fit."""
+def fit_grid(molecule: nmr.MoleculeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-molecule constants of a fitted readout.
+
+    Returns the carbon line centres, the 4096-point frequency grid spanning
+    them with 20 linewidths to spare, and the index of the grid sample
+    nearest each centre, which sets a fit's start intensity.  Raises
+    UnresolvedLines when two centres lie closer than one grid step: the fit
+    could not tell those lines apart, and pairing lines with fitted peaks by
+    nearest centre would give several lines the same peak.
+    """
     centers = nmr.carbon_peak_positions(molecule)
     width = molecule.linewidth
     freqs = np.linspace(centers.min() - 20.0 * width, centers.max() + 20.0 * width, 4096)
+    gap = np.min(np.diff(np.sort(centers)))
+    step = freqs[1] - freqs[0]
+    if gap < step:
+        raise UnresolvedLines(f"two carbon lines lie {gap:.3g} Hz apart, within the fit's {step:.3g} Hz grid step")
+    return centers, freqs, np.argmin(np.abs(freqs[:, None] - centers), axis=0)
+
+
+def _fit_peak_values(values: np.ndarray, grid, width: float) -> np.ndarray:
+    """Round-trip real peak values through a rendered spectrum and a Lorentzian fit."""
+    centers, freqs, at_centers = grid
     signal = np.zeros_like(freqs)
     for c, v in zip(centers, values):
         signal += nmr.lorentzian(freqs, c, v, width)
     initial = np.empty(24)
     initial[0::3] = centers
-    initial[1::3] = [signal[np.argmin(np.abs(freqs - c))] for c in centers]
+    initial[1::3] = signal[at_centers]
     initial[2::3] = width
     fitted = nmr.lorentzian_fit(np.column_stack([freqs, signal]), 8, initial=initial)
     out = np.empty(8)
@@ -180,8 +199,10 @@ def simulate_readout(
         raise ValueError(f"noise_sigma {noise_sigma} must be non-negative")
     if noise_sigma > 0.0 and rng is None:
         raise ValueError("noisy readout needs an explicit seeded generator")
-    if fit_via_spectrum and molecule is None:
-        molecule = nmr.MoleculeParams()
+    if fit_via_spectrum:
+        if molecule is None:
+            molecule = nmr.MoleculeParams()
+        grid, width = fit_grid(molecule), molecule.linewidth
     records = []
     for pulse in pulses:
         u = pulse.operator
@@ -189,7 +210,7 @@ def simulate_readout(
         pops = np.real(np.diag(rho_p)).copy()
         peaks = 2.0 * np.diagonal(rho_p, 8)
         if fit_via_spectrum:
-            peaks = _fit_peak_values(np.real(peaks), molecule) + 1j * _fit_peak_values(np.imag(peaks), molecule)
+            peaks = _fit_peak_values(peaks.real, grid, width) + 1j * _fit_peak_values(peaks.imag, grid, width)
         if noise_sigma > 0.0:
             peaks = peaks + rng.normal(0.0, noise_sigma, 8) + 1j * rng.normal(0.0, noise_sigma, 8)
         records.append(MeasurementRecord(pulse=pulse.name, populations=pops, peak_amplitudes=peaks))

@@ -278,6 +278,32 @@ class TestTomographyCommand:
         assert len(calls) == pipeline_runs
         assert all(builder is not None for builder in calls)
 
+    def test_noiseless_full_catalog_builds_the_ideal_density_once(self, tmp_path, monkeypatch):
+        calls, density = [], qcore.PureState.density
+
+        def counting(state):
+            calls.append(state)
+            return density(state)
+
+        monkeypatch.setattr(qcore.PureState, "density", counting)
+        assert run_cli(["tomography", "--config", CONFIG_DIR / "experiment3.ini", "--out", tmp_path / "o"]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "command, fit_peaks, code", [("tomography", "on", 2), ("tomography", "off", 0), ("spectrum", "off", 0)]
+    )
+    def test_fit_needs_resolved_lines(self, tmp_path, capsys, command, fit_peaks, code):
+        config = tmp_path / "run.ini"
+        config.write_text(
+            BASIC_CONFIG + "[molecule]\nj_couplings = 0 0 0 0 ; 0 0 0 0 ; 0 0 0 0 ; 0 0 0 0\n"
+            f"[tomography]\nfit_peaks = {fit_peaks}\n"
+        )
+        assert run_cli([command, "--config", config, "--out", tmp_path / "o"]) == code
+        if code == 2:
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"]["type"] == "ConfigParseError"
+            assert "fit_peaks" in err["error"]["message"]
+
     def test_stochastic_readout_requires_seed(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
         config.write_text(BASIC_CONFIG + "\n[tomography]\nkind = full\nnoise_sigma = 0.01\n")

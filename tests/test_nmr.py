@@ -145,6 +145,32 @@ class TestLorentzianFit:
         ratio = fitted[0].intensity / fitted[1].intensity
         assert abs(ratio - 1.0 / 0.7) / (1.0 / 0.7) < 0.03
 
+    @pytest.mark.parametrize(
+        "peaks",
+        [[(0.0, 0.0, 1.0), (3.0, 0.0, 1.0)], [(0.0, 1.0, 1.0), (3.0, 0.7, 1.0)]],
+        ids=["all_zero", "nonzero"],
+    )
+    def test_exact_start_skips_the_solver(self, monkeypatch, peaks):
+        data = self.sample(peaks, np.linspace(-10.0, 13.0, 600))
+        x0 = np.ravel(peaks)
+        solved = nmr.least_squares(
+            nmr._fit_residuals, x0, jac=nmr._fit_jacobian, args=(data[:, 0], data[:, 1]),
+            method="lm", ftol=1e-8, xtol=1e-8,
+        )
+        calls = []
+        monkeypatch.setattr(nmr, "least_squares", lambda *args, **kwargs: calls.append(args))
+        fitted = nmr.lorentzian_fit(data, 2, initial=x0)
+        assert calls == []
+        got = [(p.center, p.intensity, p.width) for p in fitted]
+        assert got == [(c, h, abs(w)) for c, h, w in solved.x.reshape(-1, 3)]
+
+    def test_budget_counts_residual_evaluations(self, monkeypatch):
+        freqs = np.linspace(-10.0, 13.0, 600)
+        data = self.sample([(0.0, 1.0, 1.0), (3.0, 0.7, 1.0)], freqs)
+        monkeypatch.setattr(nmr, "_MAX_ITERATIONS", 3)
+        with pytest.raises(FitDiverged):
+            nmr.lorentzian_fit(data, 2, initial=TWO_PEAK_START)
+
     def test_too_few_samples_diverges(self):
         with pytest.raises(FitDiverged):
             nmr.lorentzian_fit(np.array([[0.0, 1.0], [1.0, 0.5], [2.0, 0.2]]), 2, initial=np.ones(6))

@@ -1,11 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hhlsim import hhl, nmr, qcore, tomography as tomo
-from hhlsim.errors import InsufficientRecords, SubspaceMassTooSmall
+from hhlsim import config, hhl, nmr, qcore, tomography as tomo
+from hhlsim.errors import InsufficientRecords, SubspaceMassTooSmall, UnresolvedLines
 from hhlsim.qcore import DensityMatrix, PureState, basis_state, fidelity
 
 A_DEMO = np.array([[1.5, 0.5], [0.5, 1.5]])
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def ideal_final_state(b, mode="linear"):
@@ -101,6 +104,19 @@ class TestSimulateReadout:
         with pytest.raises(ValueError):
             tomo.simulate_readout(basis_state(4, 0).density(), tomo.pulse_catalog("partial"), noise_sigma=0.01)
 
+    @pytest.mark.parametrize(
+        "c_f", [(0.0, 0.0, 0.0), (128.0, 48.0, 0.0), (128.0, 48.0, 1e-6), (128.0, 48.0, 0.01)],
+        ids=["all_coincide", "pairs_coincide", "1e-6_hz", "0.01_hz"],
+    )
+    def test_fit_rejects_unresolved_lines(self, c_f):
+        j = np.array(nmr._DEFAULT_J)
+        j[0, 1:] = j[1:, 0] = c_f
+        molecule = nmr.MoleculeParams(j_couplings=j)
+        rho = ideal_final_state([1.0, 0.0], mode="exact").density()
+        with pytest.raises(UnresolvedLines):
+            tomo.simulate_readout(rho, tomo.pulse_catalog("partial"), fit_via_spectrum=True, molecule=molecule)
+        assert len(tomo.simulate_readout(rho, tomo.pulse_catalog("partial"), molecule=molecule)) == 5
+
 
 class TestReconstruction:
     def roundtrip(self, rho, **kwargs):
@@ -148,6 +164,15 @@ class TestReconstruction:
         fitted = tomo.simulate_readout(rho, tomo.pulse_catalog("partial"), fit_via_spectrum=True)
         for a, b in zip(exact, fitted):
             assert np.max(np.abs(a.peak_amplitudes - b.peak_amplitudes)) < 1e-6
+
+    @pytest.mark.parametrize("name", ["experiment1", "experiment2", "experiment3", "b10_exact"])
+    def test_fitted_full_catalog_matches_exact(self, name):
+        settings = config.load_config(CONFIG_DIR / f"{name}.ini")
+        rho = hhl.theoretical_final_state(settings.system, hhl.SolverConfig(rotation_mode="exact")).density()
+        exact = tomo.simulate_readout(rho, tomo.pulse_catalog("full"))
+        fitted = tomo.simulate_readout(rho, tomo.pulse_catalog("full"), fit_via_spectrum=True)
+        for a, b in zip(exact, fitted):
+            assert np.max(np.abs(a.peak_amplitudes - b.peak_amplitudes)) < 1e-9
 
 
 class TestPartialExtraction:
