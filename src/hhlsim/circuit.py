@@ -2,8 +2,8 @@
 
 Gates act on a register whose qubit 0 is the most significant bit of the
 basis-state index (see qcore).  Controlled gates carry explicit required
-control values, not just control-on-one, because the conditional evolution
-of the solver conditions on every clock basis value.
+control values, not just control-on-one, because the solver's eigenvalue
+inversion rotates the ancilla on every clock basis value.
 """
 
 from __future__ import annotations
@@ -151,11 +151,7 @@ def _apply_gate_tensor(tensor: np.ndarray, g: Gate, offset: int, conjugate: bool
     idx = tuple(idx)
     sub = tensor[idx]
     # integer indexing removed the control axes; shift target positions
-    removed = sorted(q + offset for q, _ in controls)
-    adj = []
-    for q in targets:
-        ax = q + offset
-        adj.append(ax - sum(1 for r in removed if r < ax))
+    adj = [q + offset - sum(c < q for c, _ in controls) for q in targets]
     out = tensor.copy()
     out[idx] = _apply_block(sub, block, adj)
     return out

@@ -3,7 +3,8 @@
 One INI-style text file with sections [system], [solver], [noise],
 [molecule], [sweep] and [tomography]; every number is a decimal string.
 Matrices are rows split by ';' with whitespace-separated entries; complex
-entries use Python literal syntax (e.g. ``0.5+0.5j``).
+entries use Python literal syntax (e.g. ``0.5+0.5j``).  Any other section,
+or a key its section does not take, is a ConfigParseError.
 """
 
 from __future__ import annotations
@@ -16,6 +17,27 @@ import numpy as np
 from . import nmr, tomography
 from .errors import ConfigParseError, HhlsimError
 from .hhl import LinearSystem, SolverConfig, linear_system, prepare_b
+
+
+# The keys each section takes; every one of them is parsed below.
+_SECTION_KEYS = {
+    "system": {"matrix", "b", "b_theta"},
+    "solver": {"clock_qubits", "t0", "r", "mode", "c_tilde"},
+    "noise": {"enabled", "total_duration_ms", "pulse_error_per_gate", "seed"},
+    "molecule": {"shift_c", "t2_star_ms", "j_couplings", "linewidth"},
+    "sweep": {"parameter", "values"},
+    "tomography": {"kind", "noise_sigma", "fit_peaks"},
+}
+
+
+def _reject_unknown_keys(parser: configparser.ConfigParser) -> None:
+    # [DEFAULT] keys would reappear in every section; name the real culprit
+    for name in ([parser.default_section] if parser.defaults() else []) + parser.sections():
+        if name not in _SECTION_KEYS:
+            raise ConfigParseError(f"unknown section [{name}]")
+        unknown = sorted(set(parser[name]) - _SECTION_KEYS[name])
+        if unknown:
+            raise ConfigParseError(f"unknown key(s) in [{name}]: {', '.join(unknown)}")
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -46,13 +68,9 @@ def _to_float(raw: str, key: str) -> float:
     return value
 
 
-def _parse_float(section, key: str, default=None) -> float:
+def _parse_float(section, key: str, default: float) -> float:
     raw = section.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigParseError(f"missing required value {key!r}")
-        return default
-    return _to_float(raw, key)
+    return default if raw is None else _to_float(raw, key)
 
 
 def _parse_switch(section, key: str, default: bool = False) -> bool:
@@ -115,16 +133,14 @@ def _load_system(parser: configparser.ConfigParser) -> LinearSystem:
     if has_theta:
         if a.shape != (2, 2):
             raise ConfigParseError("b_theta only defines a 1-qubit input (2x2 system)")
-        b = prepare_b(_parse_float(section, "b_theta")).amplitudes
+        b = prepare_b(_to_float(section["b_theta"], "b_theta")).amplitudes
     else:
         b = _parse_vector(section["b"])
         if b.size != a.shape[0]:
             raise ConfigParseError(f"b has length {b.size}, matrix is {a.shape[0]}x{a.shape[0]}")
     try:
         return linear_system(a, b, normalize=True)
-    except HhlsimError as exc:
-        raise ConfigParseError(f"invalid system: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, HhlsimError) as exc:
         raise ConfigParseError(f"invalid system: {exc}") from exc
 
 
@@ -236,6 +252,7 @@ def load_config(path) -> RunSettings:
         raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigParseError(f"malformed config: {exc}") from exc
+    _reject_unknown_keys(parser)
     settings = RunSettings(
         system=_load_system(parser),
         solver=_load_solver(parser),

@@ -85,9 +85,9 @@ ENCODING_ATOL = 1e-9
 # amplitudes (pure) or 4^n entries (density), 16 bytes each; 256 MiB is a
 # 24-qubit state vector or a 12-qubit density matrix.
 MAX_STATE_BYTES = 2**28
-# Memory per gate beyond its matrix entries.  tracemalloc puts the 863
-# gates of an n_b = 1, t = 8 circuit at 0.63 MB (0.74 KB each) and the
-# 98,587 of t = 15 at 133 MB (1.34 KB each, as control tuples grow with t).
+# Memory per gate beyond its matrix entries.  tracemalloc puts the 367
+# gates of an n_b = 1, t = 8 circuit at 0.33 MB (0.89 KB each) and the
+# 131,461 of t = 17 at 193 MB (1.47 KB each, as control tuples grow with t).
 GATE_BYTES = 1536
 
 
@@ -145,13 +145,13 @@ def is_exact_encoding(sys: LinearSystem, cfg: SolverConfig) -> bool:
 
 def _require_within_budget(sys: LinearSystem, cfg: SolverConfig, *, density: bool, circuit: bool) -> None:
     """Reject a run whose final state, or circuit, would exceed MAX_STATE_BYTES."""
-    n = cfg.clock_qubits + sys.n_solution_qubits + 1
+    t = cfg.clock_qubits
+    n = t + sys.n_solution_qubits + 1
     kind = "density matrix" if density else "state vector"
     needs = {f"a {n}-qubit {kind}": 16 * (4**n if density else 2**n)}
     if circuit:
-        # per clock value: an evolution block in the QPE, one in its inverse, about 3 gates
-        per_value = 2 * 16 * 4**sys.n_solution_qubits + 3 * GATE_BYTES
-        needs[f"a {cfg.clock_qubits}-qubit clock's circuit"] = 2**cfg.clock_qubits * per_value
+        # an evolution block per clock qubit in the QPE and its inverse, a rotation per clock value
+        needs[f"a {t}-qubit clock's circuit"] = 2 * t * 16 * 4**sys.n_solution_qubits + 2**t * GATE_BYTES
     for what, size in needs.items():
         if size > MAX_STATE_BYTES:
             raise RegisterTooWide(f"{what} needs {size} bytes, over the {MAX_STATE_BYTES}-byte budget")
@@ -163,21 +163,18 @@ def _clock_pattern(value: int, t: int) -> tuple[tuple[int, int], ...]:
 
 
 def conditional_evolution(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
-    """Controlled blocks realizing sum_tau |tau><tau| (x) exp(-i A tau t0 / 2^t).
+    """Controlled powers realizing sum_tau |tau><tau| (x) exp(-i A tau t0 / 2^t).
 
-    One block per clock basis value tau, each conditioned on the full clock
-    bit pattern of tau; their product is exactly the summed operator
-    because the clock projectors are orthogonal.
+    Clock qubit q (qubit 0 = MSB) carries place value 2^(t-1-q), so it
+    controls exp(-i A t0 2^(t-1-q) / 2^t) = exp(-i A t0 / 2^(q+1)); the
+    product of the t powers applies exp(-i A t0 tau / 2^t) on clock value tau.
     """
     t = cfg.clock_qubits
-    nb = sys.n_solution_qubits
-    big_t = 2**t
-    targets = tuple(range(t, t + nb))
-    gates: list[Gate] = []
-    for tau in range(big_t):
-        u = qcore.matrix_exp_hermitian(sys.spectrum, tau * cfg.t0 / big_t)
-        gates.append(ControlledUnitary(_clock_pattern(tau, t), targets, u))
-    return gates
+    targets = tuple(range(t, t + sys.n_solution_qubits))
+    return [
+        ControlledUnitary(((q, 1),), targets, qcore.matrix_exp_hermitian(sys.spectrum, cfg.t0 / 2 ** (q + 1)))
+        for q in range(t)
+    ]
 
 
 def _qpe_gates(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
@@ -422,8 +419,7 @@ def _complex_vector_json(v: np.ndarray) -> dict:
 
 
 def _dominant_vector(rho: DensityMatrix) -> np.ndarray:
-    w, v = np.linalg.eigh(rho.matrix)
-    return v[:, -1]
+    return np.linalg.eigh(rho.matrix)[1][:, -1]
 
 
 def run_hhl(

@@ -210,10 +210,13 @@ def _fit_jacobian(params: np.ndarray, f: np.ndarray, y: np.ndarray) -> np.ndarra
 def lorentzian_fit(samples, n_peaks: int, *, initial) -> list[FittedPeak]:
     """Least-squares fit of a sum of Lorentzians to sampled (freq, amplitude) data.
 
-    ``initial`` is the starting point, (center, intensity, width) per peak.
-    A start whose Lorentzian sum equals every sample exactly is returned as
-    it is, without running the solver: with zero residual the solver's
-    gradient test passes at once and it would return the start unchanged.
+    ``initial`` is the starting point, (center, intensity, width) per peak,
+    and the fitted peaks come back in its order, not sorted by centre: a
+    peak of zero intensity has no centre gradient and may drift past a
+    neighbour.  A start whose Lorentzian sum equals every sample exactly is
+    returned as it is, without running the solver: with zero residual the
+    solver's gradient test passes at once and it would return the start
+    unchanged.
     Any other start goes to damped least squares (Levenberg-Marquardt) with
     the analytic Jacobian, which raises FitDiverged when the budget of
     ``_MAX_ITERATIONS`` residual evaluations runs out before the
@@ -245,9 +248,7 @@ def lorentzian_fit(samples, n_peaks: int, *, initial) -> list[FittedPeak]:
         if not result.success:
             raise FitDiverged(f"no convergence within the evaluation budget (status {result.status})")
         x = result.x
-    peaks = [
+    return [
         FittedPeak(center=float(c), intensity=float(h), width=float(abs(w)))
         for c, h, w in x.reshape(-1, 3)
     ]
-    peaks.sort(key=lambda p: p.center)
-    return peaks

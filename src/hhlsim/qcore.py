@@ -211,19 +211,10 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise EmptyKeepSet("keep set must contain at least one qubit")
     if keep[0] < 0 or keep[-1] >= n:
         raise DimensionMismatch(f"keep set {keep} outside 0..{n - 1}")
-    t = rho.matrix.reshape([2] * (2 * n))
-    # einsum with shared letters on the traced ket/bra axis pairs
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    ket = list(letters[:n])
-    bra = list(letters[:n])
-    out = []
-    next_free = n
-    for q in keep:
-        bra[q] = letters[next_free]
-        next_free += 1
-    spec = "".join(ket) + "".join(bra)
-    out = "".join(ket[q] for q in keep) + "".join(bra[q] for q in keep)
-    reduced = np.einsum(f"{spec}->{out}", t)
+    # einsum sums over the traced qubits, whose ket and bra axes share a label
+    ket = list(range(n))
+    bra = [n + q if q in keep else q for q in range(n)]
+    reduced = np.einsum(rho.matrix.reshape([2] * (2 * n)), ket + bra, keep + [n + q for q in keep])
     d = 2 ** len(keep)
     return DensityMatrix(reduced.reshape(d, d))
 

@@ -145,8 +145,7 @@ def fit_grid(molecule: nmr.MoleculeParams) -> tuple[np.ndarray, np.ndarray, np.n
     them with 20 linewidths to spare, and the index of the grid sample
     nearest each centre, which sets a fit's start intensity.  Raises
     UnresolvedLines when two centres lie closer than one grid step: the fit
-    could not tell those lines apart, and pairing lines with fitted peaks by
-    nearest centre would give several lines the same peak.
+    could not tell those lines apart.
     """
     centers = nmr.carbon_peak_positions(molecule)
     width = molecule.linewidth
@@ -169,11 +168,7 @@ def _fit_peak_values(values: np.ndarray, grid, width: float) -> np.ndarray:
     initial[1::3] = signal[at_centers]
     initial[2::3] = width
     fitted = nmr.lorentzian_fit(np.column_stack([freqs, signal]), 8, initial=initial)
-    out = np.empty(8)
-    for k, c in enumerate(centers):
-        nearest = min(fitted, key=lambda p: abs(p.center - c))
-        out[k] = nearest.intensity
-    return out
+    return np.array([p.intensity for p in fitted])
 
 
 def simulate_readout(

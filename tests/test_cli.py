@@ -123,6 +123,25 @@ class TestSolveCommand:
         assert err["error"]["type"] == "ConfigParseError"
 
     @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ("clock_qubits = 3\nmdoe = exact", "mdoe"),
+            ("[bogus]\nclock_qubits = 3", "[bogus]"),
+            ("[noise]\nenabled = on\nclock_qubits = 3", "clock_qubits"),
+            ("[DEFAULT]\nmode = exact", "[DEFAULT]"),
+        ],
+        ids=["misspelled_key", "unknown_section", "key_in_wrong_section", "default_section"],
+    )
+    def test_unknown_sections_and_keys_rejected(self, tmp_path, capsys, extra, named):
+        config = tmp_path / "bad.ini"
+        config.write_text(BASIC_CONFIG + extra + "\n")
+        assert run_cli(["solve", "--config", config, "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigParseError"
+        assert named in err["error"]["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "system",
         ["matrix = 1 0 0 ; 0 2 0 ; 0 0 3\nb = 1 0 0", "matrix = 2\nb = 1"],
         ids=["3x3", "1x1"],

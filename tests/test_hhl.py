@@ -88,31 +88,52 @@ class TestPrepareB:
         assert abs(amp[1] - 1.0) < 1e-12
 
 
+def clock_step(s, cfg):
+    """exp(-i A t0 / 2^t), assembled independently of the package."""
+    return scipy.linalg.expm(-1j * s.a * cfg.t0 / 2**cfg.clock_qubits)
+
+
 class TestConditionalEvolution:
-    def test_tau_zero_is_identity(self):
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_one_single_control_power_per_clock_qubit(self, t):
         s = demo_system([1.0, 0.0])
-        gate = hhl.conditional_evolution(s, hhl.SolverConfig())[0]
-        assert np.max(np.abs(gate.matrix - np.eye(2))) < 1e-12
-
-    def test_tau_one_evolves_quarter_period(self):
-        s = demo_system([1.0, 0.0])
-        u2 = s.spectrum.eigenvectors[:, 1]
-        gate = hhl.conditional_evolution(s, hhl.SolverConfig())[1]
-        assert gate.controls == ((0, 0), (1, 1))  # clock value 1 = |01>
-        assert np.max(np.abs(gate.matrix @ u2 + u2)) < 1e-10
-
-    def test_product_matches_summed_operator(self):
-        s = demo_system([0.6, 0.8])
-        cfg = hhl.SolverConfig()
+        cfg = hhl.SolverConfig(clock_qubits=t)
         gates = hhl.conditional_evolution(s, cfg)
-        c = qc.Circuit(3, tuple(gates))
-        cols = [qc.run_circuit(basis_state(3, i), c).amplitudes for i in range(8)]
+        assert len(gates) == t
+        u1 = clock_step(s, cfg)
+        for q, gate in enumerate(gates):
+            assert gate.controls == ((q, 1),)
+            assert gate.targets == (t,)
+            assert np.max(np.abs(gate.matrix - np.linalg.matrix_power(u1, 2 ** (t - 1 - q)))) < 1e-10
+
+    def test_build_circuit_exponentiates_once_per_clock_qubit(self, monkeypatch):
+        calls = []
+        exp = qcore.matrix_exp_hermitian
+
+        def counting(spectrum, time):
+            calls.append(time)
+            return exp(spectrum, time)
+
+        monkeypatch.setattr(qcore, "matrix_exp_hermitian", counting)
+        s = demo_system([1.0, 0.0])
+        cfg = hhl.resolve_config(s, hhl.SolverConfig(clock_qubits=5))
+        hhl.build_circuit(s, cfg)
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("nb", [1, 2], ids=lambda nb: f"nb{nb}")
+    @pytest.mark.parametrize("t", [1, 2, 3, 4], ids=lambda t: f"t{t}")
+    def test_product_matches_summed_operator(self, t, nb):
+        s = encodable_system(np.random.default_rng(10 * t + nb), 2**nb)
+        cfg = hhl.SolverConfig(clock_qubits=t)
+        n = t + nb
+        c = qc.Circuit(n, tuple(hhl.conditional_evolution(s, cfg)))
+        cols = [qc.run_circuit(basis_state(n, i), c).amplitudes for i in range(2**n)]
         got = np.array(cols).T
         # independent assembly of sum_tau |tau><tau| (x) U^tau
-        u1 = scipy.linalg.expm(-1j * s.a * cfg.t0 / 4.0)
-        expected = np.zeros((8, 8), dtype=complex)
-        for tau in range(4):
-            proj = np.zeros((4, 4))
+        u1 = clock_step(s, cfg)
+        expected = np.zeros((2**n, 2**n), dtype=complex)
+        for tau in range(2**t):
+            proj = np.zeros((2**t, 2**t))
             proj[tau, tau] = 1.0
             expected += np.kron(proj, np.linalg.matrix_power(u1, tau))
         assert np.max(np.abs(got - expected)) < 1e-10
@@ -279,7 +300,7 @@ class TestRunHhl:
         default = hhl.SolverConfig(rotation_mode="exact")
         assert hhl.resolve_config(s, cfg).c_tilde == float(s.spectrum.eigenvalues.min())
         circuits = [hhl.build_circuit(s, hhl.resolve_config(s, c)) for c in (cfg, default)]
-        assert len(circuits[0]) == len(circuits[1]) == 24
+        assert len(circuits[0]) == len(circuits[1]) == 20
         theory = hhl.theoretical_final_state(s, cfg).amplitudes
         assert np.array_equal(theory, hhl.theoretical_final_state(s, default).amplitudes)
         report = hhl.run_hhl(s, cfg)
@@ -290,7 +311,7 @@ class TestRunHhl:
         b = np.array([0.6, 0.8])
         near = hhl.run_hhl(hhl.linear_system(np.diag([1.0 + 5e-10, 2.0]), b), cfg)
         exact = hhl.run_hhl(hhl.linear_system(np.diag([1.0, 2.0]), b), cfg)
-        assert len(near.circuit) == 24
+        assert len(near.circuit) == 20
         assert near.fidelity_4q >= 1.0 - 1e-9
         assert abs(near.success_probability - exact.success_probability) < 1e-8
 
@@ -358,10 +379,10 @@ class TestPureRunStaysStateVector:
 
 class TestStateBudget:
     # Widest demo registers (one solution qubit, one ancilla) that fit.  A
-    # pure run is bound by its circuit, 2^t * (2 * 64 + 3 * GATE_BYTES)
-    # bytes: 155 MB at t = 15.  A noisy run is bound by its 4^n * 16-byte
-    # final state.
-    PURE_MAX = 17
+    # pure run is bound by its circuit, 2t * 64 + 2^t * GATE_BYTES bytes:
+    # 201 MB at t = 17.  A noisy run is bound by its 4^n * 16-byte final
+    # state.
+    PURE_MAX = 19
     DENSITY_MAX = int(np.log2(hhl.MAX_STATE_BYTES // 16)) // 2
 
     @pytest.fixture
@@ -388,13 +409,13 @@ class TestStateBudget:
             self.run((self.DENSITY_MAX if noisy else self.PURE_MAX) + 1, noisy)
 
     def test_circuit_over_budget_raises_before_building(self, no_build):
-        # a 24-qubit state vector fits, but 2^22 clock values need 20 GB of gates
+        # a 24-qubit state vector fits, but 2^22 inversion rotations need 6.4 GB
         with pytest.raises(RegisterTooWide, match="circuit"):
             self.run(24, noisy=False)
-        # a 16 MiB state vector, but 2 * 2^10 evolution blocks of 4 MiB each
-        wide = hhl.linear_system(np.eye(512), np.eye(512)[0])
+        # a 16 MiB state vector, but 2 * 9 evolution blocks of 16 MiB each
+        wide = hhl.linear_system(np.eye(1024), np.eye(1024)[0])
         with pytest.raises(RegisterTooWide, match="circuit"):
-            hhl.run_hhl(wide, hhl.SolverConfig(clock_qubits=10))
+            hhl.run_hhl(wide, hhl.SolverConfig(clock_qubits=9))
 
     def test_forty_clock_qubits_rejected(self, no_build):
         with pytest.raises(RegisterTooWide):

@@ -136,6 +136,13 @@ class TestLorentzianFit:
         assert fitted[0].intensity == pytest.approx(1.0, rel=0.01)
         assert fitted[1].intensity == pytest.approx(0.7, rel=0.01)
 
+    def test_peaks_come_back_in_start_order(self):
+        freqs = np.linspace(-10.0, 13.0, 600)
+        data = self.sample([(0.0, 1.0, 1.0), (3.0, 0.7, 1.0)], freqs)
+        fitted = nmr.lorentzian_fit(data, 2, initial=TWO_PEAK_START[3:] + TWO_PEAK_START[:3])
+        assert fitted[0].center == pytest.approx(3.0, abs=1e-6)
+        assert fitted[1].center == pytest.approx(0.0, abs=1e-6)
+
     def test_one_percent_noise_ratio(self):
         rng = np.random.default_rng(12)
         freqs = np.linspace(-10.0, 13.0, 600)
