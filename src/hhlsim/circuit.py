@@ -30,16 +30,6 @@ class Hadamard:
     qubit: int
 
 
-@dataclass(frozen=True)
-class Swap:
-    qubit_a: int
-    qubit_b: int
-
-    def __post_init__(self):
-        if self.qubit_a == self.qubit_b:
-            raise IndexOutOfRange("swap needs two distinct qubits")
-
-
 @dataclass(frozen=True, eq=False)
 class ControlledUnitary:
     """Apply ``matrix`` to ``targets`` when every control has its required value.
@@ -71,14 +61,12 @@ class ControlledUnitary:
         object.__setattr__(self, "matrix", qcore._freeze(m))
 
 
-Gate = Union[Hadamard, Swap, ControlledUnitary]
+Gate = Union[Hadamard, ControlledUnitary]
 
 
 def gate_qubits(g: Gate) -> tuple[int, ...]:
     if isinstance(g, Hadamard):
         return (g.qubit,)
-    if isinstance(g, Swap):
-        return (g.qubit_a, g.qubit_b)
     return tuple(q for q, _ in g.controls) + g.targets
 
 
@@ -90,7 +78,7 @@ def _gate_block(g: Gate) -> tuple[tuple[int, ...], np.ndarray]:
 
 
 def gate_inverse(g: Gate) -> Gate:
-    if isinstance(g, (Hadamard, Swap)):
+    if isinstance(g, Hadamard):
         return g
     return ControlledUnitary(g.controls, g.targets, g.matrix.conj().T)
 
@@ -137,8 +125,6 @@ def _apply_gate_tensor(tensor: np.ndarray, g: Gate, offset: int, conjugate: bool
     transformation rho -> U rho U^dagger multiplies conj(U) into the bra
     indices.
     """
-    if isinstance(g, Swap):
-        return np.swapaxes(tensor, g.qubit_a + offset, g.qubit_b + offset)
     targets, block = _gate_block(g)
     if conjugate:
         block = block.conj()
@@ -168,11 +154,13 @@ def run_circuit(state: PureState, c: Circuit) -> PureState:
 
 
 def qft(t: int) -> Circuit:
-    """Quantum Fourier transform on ``t`` qubits.
+    """Quantum Fourier transform on ``t`` qubits, without the final bit reversal.
 
-    The circuit's matrix is F[j, k] = exp(2*pi*i*j*k / 2**t) / 2**(t/2):
-    Hadamards with controlled phase gates, then a bit reversal.  For t = 2
-    the single controlled phase is exactly a controlled S.
+    Hadamards with controlled phase gates.  The circuit's matrix is
+    F[j, k] = exp(2*pi*i*j*k / 2**t) / 2**(t/2) with its output qubits
+    reversed: input |k> (qubit 0 = MSB) leaves F|k> with qubit 0 as the
+    least significant bit.  For t = 2 the single controlled phase is exactly
+    a controlled S.
     """
     if t < 1:
         raise DimensionMismatch("QFT needs at least one qubit")
@@ -183,8 +171,6 @@ def qft(t: int) -> Circuit:
             phi = 2.0 * np.pi / 2 ** (j - i + 1)
             phase = np.array([[1.0, 0.0], [0.0, np.exp(1j * phi)]], dtype=complex)
             gates.append(ControlledUnitary(((j, 1),), (i,), phase))
-    for i in range(t // 2):
-        gates.append(Swap(i, t - 1 - i))
     return Circuit(t, tuple(gates))
 
 
@@ -387,8 +373,6 @@ def circuit_to_text(c: Circuit) -> str:
     for g in c.gates:
         if isinstance(g, Hadamard):
             lines.append(f"H {g.qubit}")
-        elif isinstance(g, Swap):
-            lines.append(f"SWAP {g.qubit_a} {g.qubit_b}")
         elif isinstance(g, ControlledUnitary):
             tgt = ",".join(str(q) for q in g.targets)
             if g.controls:
@@ -417,8 +401,6 @@ def circuit_from_text(text: str) -> Circuit:
             registers[parts[1]] = tuple(int(p) for p in parts[2:])
         elif kind == "H":
             gates.append(Hadamard(int(parts[1])))
-        elif kind == "SWAP":
-            gates.append(Swap(int(parts[1]), int(parts[2])))
         elif kind == "CU":
             controls = tuple(
                 (int(pair.split(":")[0]), int(pair.split(":")[1])) for pair in parts[1].split(",")

@@ -18,8 +18,8 @@ import numpy as np
 from . import __version__, nmr, tomography
 from . import circuit as qcirc
 from .config import RunSettings, load_config
-from .errors import ConfigParseError, RegisterTooWide
-from .hhl import run_hhl, sweep_r, sweep_t0, theoretical_final_state
+from .errors import ConfigParseError, EigenvalueNotEncodable, RegisterTooWide, ZeroProbabilityBranch
+from .hhl import resolve_config, run_hhl, sweep_r, sweep_t0, theoretical_final_state
 from .qcore import fidelity
 
 
@@ -54,6 +54,13 @@ def _apply_overrides(settings: RunSettings, args) -> RunSettings:
         noise = replace(noise, seed=args.seed)
     if settings.tomography.noise_sigma > 0.0 and noise.seed is None:
         raise ConfigParseError("stochastic readout noise requires a seed")
+    sweep = settings.sweep
+    points = [{}] if sweep is None else [{}] + [{sweep.parameter: v} for v in sweep.values]
+    for point in points:
+        try:
+            resolve_config(settings.system, replace(solver, **point))
+        except (ValueError, EigenvalueNotEncodable) as exc:
+            raise ConfigParseError(f"solver settings do not fit the system: {exc}") from exc
     return replace(settings, solver=solver, noise=noise)
 
 
@@ -230,7 +237,9 @@ def main(argv=None) -> int:
         _write_json(out / "manifest.json", manifest)
         print(json.dumps(payload, sort_keys=True, allow_nan=False))
         return 0
-    except (ConfigParseError, RegisterTooWide) as exc:
+    # config problems found only while running: tomography needs an exact encoding,
+    # and a post-selection with no mass means r is too large for the spectrum
+    except (ConfigParseError, RegisterTooWide, EigenvalueNotEncodable, ZeroProbabilityBranch) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}), file=sys.stderr)
         return 2
     except Exception as exc:  # every failure leaves a structured payload

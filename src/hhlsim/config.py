@@ -133,7 +133,10 @@ def _load_system(parser: configparser.ConfigParser) -> LinearSystem:
     if has_theta:
         if a.shape != (2, 2):
             raise ConfigParseError("b_theta only defines a 1-qubit input (2x2 system)")
-        b = prepare_b(_to_float(section["b_theta"], "b_theta")).amplitudes
+        try:
+            b = prepare_b(_to_float(section["b_theta"], "b_theta")).amplitudes
+        except ValueError as exc:
+            raise ConfigParseError(f"invalid b_theta: {exc}") from exc
     else:
         b = _parse_vector(section["b"])
         if b.size != a.shape[0]:
@@ -164,9 +167,7 @@ def _load_solver(parser: configparser.ConfigParser) -> SolverConfig:
 
 
 def _load_noise(parser: configparser.ConfigParser) -> NoiseSettings:
-    if "noise" not in parser:
-        return NoiseSettings(enabled=False, total_duration_ms=50.0, pulse_error_per_gate=0.0, seed=None)
-    section = parser["noise"]
+    section = parser["noise"] if "noise" in parser else {}
     duration = _parse_float(section, "total_duration_ms", 50.0)
     if duration < 0.0:
         raise ConfigParseError(f"total_duration_ms = {duration} must be non-negative")
@@ -222,6 +223,8 @@ def _load_sweep(parser: configparser.ConfigParser) -> SweepSettings | None:
     values = tuple(_to_float(tok, "sweep value") for tok in raw.split())
     if parameter == "r" and any(v != int(v) or v < 1 for v in values):
         raise ConfigParseError("r sweep values must be positive integers")
+    if parameter == "t0" and any(v <= 0.0 for v in values):
+        raise ConfigParseError("t0 sweep values must be positive")
     return SweepSettings(parameter=parameter, values=values)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import circuit as qcirc
 from . import qcore, reference
-from .circuit import Circuit, ControlledUnitary, Gate, Hadamard, Swap
+from .circuit import Circuit, ControlledUnitary, Gate, Hadamard
 from .errors import (
     EigenvalueNotEncodable,
     NotPositiveDefinite,
@@ -158,8 +158,9 @@ def _require_within_budget(sys: LinearSystem, cfg: SolverConfig, *, density: boo
 
 
 def _clock_pattern(value: int, t: int) -> tuple[tuple[int, int], ...]:
-    """Controls requiring the t-qubit clock to hold ``value`` (qubit 0 = MSB)."""
-    return tuple((q, (value >> (t - 1 - q)) & 1) for q in range(t))
+    """Controls requiring the t-qubit clock to hold label ``value`` as phase
+    estimation leaves it, least significant bit first (qubit 0 = LSB)."""
+    return tuple((q, (value >> q) & 1) for q in range(t))
 
 
 def conditional_evolution(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
@@ -178,7 +179,11 @@ def conditional_evolution(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
 
 
 def _qpe_gates(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
-    """Phase estimation: clock superposition, conditional evolution, QFT."""
+    """Phase estimation: clock superposition, conditional evolution, QFT.
+
+    The QFT has no bit reversal, so eigenvalue label k is left on the clock
+    least significant bit first (see _clock_pattern).
+    """
     t = cfg.clock_qubits
     return [Hadamard(q) for q in range(t)] + conditional_evolution(sys, cfg) + list(qcirc.qft(t).gates)
 
@@ -220,41 +225,32 @@ def _rotation_gates(cfg: SolverConfig, lam: float, controls, ancilla: int) -> li
 
 
 def eigenvalue_inversion_gates(cfg: SolverConfig, n_solution_qubits: int = 1) -> list[Gate]:
-    """The swap-based fast path: clock swap, then ancilla rotations.
+    """The paper's linear-mode inversion: one controlled Ry per clock qubit.
 
-    Swapping the two clock qubits relabels |k> -> |2/k> for k in {1, 2},
-    after which a rotation linear in the clock value implements angles
-    proportional to 1/lambda.  Linear mode stacks one controlled Ry per
-    clock qubit with theta_j = (2*pi/2^r)/lambda_j in total; exact mode
-    rotates each relabeled clock value by 2*arcsin(c_tilde/lambda_j).
-
-    Only a two-qubit clock supports this permutation, and only clock labels
-    1 and 2 are inverted by it; build_circuit takes this path only when
-    swap_path_available.
+    Phase estimation leaves label k least significant bit first, so on a
+    two-qubit clock labels k in {1, 2} read most significant bit first as
+    m = 2/k: the relabelling |k> -> |2/k> the paper performs with a clock
+    swap.  theta = (2*pi/2^r)/lambda is linear in m, so per-bit rotations
+    weighted by place value sum to it.  Labels other than 1 and 2 are not
+    inverted; build_circuit takes this path only when swap_path_available.
     """
+    if cfg.rotation_mode != "linear":
+        raise ValueError("the per-bit inversion is linear-mode only")
     t = cfg.clock_qubits
     ancilla = t + n_solution_qubits
-    gates: list[Gate] = [Swap(0, 1)]
-
-    def swapped_eigenvalue(m: int) -> float:
-        # after the swap, clock value m holds the eigenvalue encoded as 2/m
-        return 2.0 * TWO_PI / (cfg.t0 * m)
-
-    if cfg.rotation_mode == "linear":
-        # theta is linear in m, so per-bit rotations weighted by place sum to it
-        for q in range(t):
-            gates += _rotation_gates(cfg, swapped_eigenvalue(2 ** (t - 1 - q)), ((q, 1),), ancilla)
-    else:
-        for m in range(1, 2**t):
-            gates += _rotation_gates(cfg, swapped_eigenvalue(m), _clock_pattern(m, t), ancilla)
+    gates: list[Gate] = []
+    for q in range(t):
+        # read MSB first, qubit q has place value m = 2^(t-1-q): the eigenvalue encoded as 2/m
+        lam = 2.0 * TWO_PI / (cfg.t0 * 2 ** (t - 1 - q))
+        gates += _rotation_gates(cfg, lam, ((q, 1),), ancilla)
     return gates
 
 
 def _general_inversion_gates(cfg: SolverConfig, n_solution_qubits: int) -> list[Gate]:
-    """Rotations keyed directly on the clock label |k>, no swap relabeling.
+    """Rotations keyed directly on the clock label |k>, one per nonzero label.
 
-    Works for any encodable spectrum (and approximately encoded ones);
-    used whenever the swap fast path does not apply.
+    Works for any encodable spectrum (and approximately encoded ones) in
+    either mode; used whenever the per-bit linear path does not apply.
     """
     t = cfg.clock_qubits
     ancilla = t + n_solution_qubits
@@ -265,7 +261,8 @@ def _general_inversion_gates(cfg: SolverConfig, n_solution_qubits: int) -> list[
 
 
 def swap_path_available(sys: LinearSystem, cfg: SolverConfig) -> bool:
-    if cfg.clock_qubits != 2 or not is_exact_encoding(sys, cfg):
+    """Whether the paper's per-bit inversion (eigenvalue_inversion_gates) applies."""
+    if cfg.rotation_mode != "linear" or cfg.clock_qubits != 2 or not is_exact_encoding(sys, cfg):
         return False
     labels = np.round(encoded_eigenvalues(sys, cfg)).astype(int)
     return bool(np.all(np.isin(labels, (1, 2))))
@@ -298,15 +295,13 @@ def build_circuit(sys: LinearSystem, cfg: SolverConfig) -> Circuit:
     """Assemble the full pipeline circuit (measurement excluded).
 
     ``cfg`` comes from resolve_config.  The uncompute block undoes the
-    inversion-stage clock swap (on the fast path), then the phase
-    estimation, so the clock returns to |0..0> under exact encoding.
+    phase estimation, so the clock returns to |0..0> under exact encoding.
     """
     t, nb = cfg.clock_qubits, sys.n_solution_qubits
     n = t + nb + 1
     qpe = _qpe_gates(sys, cfg)
     if swap_path_available(sys, cfg):
         inversion = eigenvalue_inversion_gates(cfg, nb)
-        inversion.append(Swap(0, 1))
     else:
         inversion = _general_inversion_gates(cfg, nb)
     gates = qpe + inversion + list(Circuit(n, qpe).inverse().gates)

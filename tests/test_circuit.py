@@ -12,6 +12,7 @@ from hhlsim.qcore import DensityMatrix, PureState, basis_state
 
 H_MAT = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 S_MAT = np.array([[1.0, 0.0], [0.0, 1.0j]])
+SWAP_MAT = np.eye(4)[[0, 2, 1, 3]]
 
 
 def ry(theta):
@@ -26,13 +27,6 @@ def embed_full(gate, n):
     """
     dim = 2**n
     m = np.zeros((dim, dim), dtype=complex)
-    if isinstance(gate, qc.Swap):
-        for col in range(dim):
-            bits = [(col >> (n - 1 - k)) & 1 for k in range(n)]
-            bits[gate.qubit_a], bits[gate.qubit_b] = bits[gate.qubit_b], bits[gate.qubit_a]
-            row = sum(b << (n - 1 - k) for k, b in enumerate(bits))
-            m[row, col] = 1.0
-        return m
     if isinstance(gate, qc.Hadamard):
         targets, block = (gate.qubit,), H_MAT
         controls = ()
@@ -67,7 +61,8 @@ def random_circuit(rng, n, depth):
             gates.append(qc.ControlledUnitary((), (int(rng.integers(n)),), ry(float(rng.normal()))))
         elif kind == 3 and n >= 2:
             a, b = rng.choice(n, size=2, replace=False)
-            gates.append(qc.Swap(int(a), int(b)))
+            q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            gates.append(qc.ControlledUnitary((), (int(a), int(b)), q))
         elif kind == 4 and n >= 2:
             a, b = rng.choice(n, size=2, replace=False)
             q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
@@ -94,7 +89,7 @@ class TestApplyGate:
         assert np.allclose(out.amplitudes, [1.0, 1.0] / np.sqrt(2.0), atol=1e-12)
 
     def test_swap_exchanges_kets(self):
-        out = apply_one(basis_state(2, 0b01), qc.Swap(0, 1))
+        out = apply_one(basis_state(2, 0b01), qc.ControlledUnitary((), (0, 1), SWAP_MAT))
         assert np.allclose(out.amplitudes, basis_state(2, 0b10).amplitudes, atol=1e-12)
 
     def test_phase_s_on_one(self):
@@ -151,6 +146,10 @@ class TestQft:
         j, k = np.meshgrid(np.arange(big_t), np.arange(big_t), indexing="ij")
         return np.exp(2j * np.pi * j * k / big_t) / np.sqrt(big_t)
 
+    def bit_reversal(self, t):
+        rev = [int(format(i, f"0{t}b")[::-1], 2) for i in range(2**t)]
+        return np.eye(2**t)[rev]
+
     def circuit_matrix(self, c):
         cols = [qc.run_circuit(basis_state(c.n_qubits, i), c).amplitudes for i in range(2**c.n_qubits)]
         return np.array(cols).T
@@ -164,7 +163,9 @@ class TestQft:
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_matrix_matches_dft(self, t):
-        assert np.max(np.abs(self.circuit_matrix(qc.qft(t)) - self.dense_qft(t))) < 1e-10
+        # the circuit has no final bit reversal: it is F with its output qubits reversed
+        expected = self.bit_reversal(t) @ self.dense_qft(t)
+        assert np.max(np.abs(self.circuit_matrix(qc.qft(t)) - expected)) < 1e-10
 
     def test_qft_then_inverse(self):
         m = self.circuit_matrix(qc.qft(2))
@@ -302,6 +303,8 @@ class TestSerialization:
     def test_rejects_unknown_lines(self):
         with pytest.raises(ValueError):
             qc.circuit_from_text("QUBITS 2\nBOGUS 0\n")
+        with pytest.raises(ValueError):
+            qc.circuit_from_text("QUBITS 2\nSWAP 0 1\n")
 
     def test_rejects_non_unitary_cu_line(self):
         with pytest.raises(NotUnitary):

@@ -109,10 +109,17 @@ class TestSolveCommand:
             ("tomography", "[tomography]\nnoise_sigma = 0.01", ("--seed", "-1")),
             ("spectrum", "[molecule]\nj_couplings = 0 nan 0 0 ; nan 0 0 0 ; 0 0 0 0 ; 0 0 0 0", ()),
             ("tomography", "[noise]\nseed = 1\n[tomography]\nnoise_sigma = -0.01", ()),
+            ("solve", "t0 = 20", ()),
+            ("solve", "clock_qubits = 1", ()),
+            ("solve", "c_tilde = 1.5", ()),
+            ("sweep", "[sweep]\nparameter = t0\nvalues = 6.283185307179586 0", ()),
+            ("sweep", "[sweep]\nparameter = t0\nvalues = 6.283185307179586 20", ()),
         ],
         ids=[
             "c_tilde", "t0", "seed", "duration", "pulse_error", "t2_star", "sweep_values",
             "negative_seed", "negative_seed_flag", "j_couplings_nan", "negative_noise_sigma",
+            "t0_not_encodable", "clock_too_narrow", "c_tilde_above_lambda_min",
+            "sweep_t0_zero", "sweep_t0_not_encodable",
         ],
     )
     def test_bad_config_values_rejected(self, tmp_path, capsys, command, extra, flags):
@@ -121,6 +128,35 @@ class TestSolveCommand:
         assert run_cli([command, "--config", config, "--out", tmp_path / "o", *flags]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigParseError"
+
+    @pytest.mark.parametrize(
+        "command, rest, flags, error",
+        [
+            ("solve", "b_theta = 7", (), "ConfigParseError"),
+            ("solve", "b = 1 0\n[solver]\nc_tilde = 1.5", ("--mode", "exact"), "ConfigParseError"),
+            ("solve", "b = 1 0\n[solver]\nr = 30", (), "ZeroProbabilityBranch"),
+            ("tomography", "b = 1 0\n[solver]\nt0 = 6.9", (), "EigenvalueNotEncodable"),
+        ],
+        ids=[
+            "b_theta_out_of_range", "c_tilde_under_mode_flag", "r_leaves_no_post_selection",
+            "tomography_needs_exact_labels",
+        ],
+    )
+    def test_more_config_problems_exit_2(self, tmp_path, capsys, command, rest, flags, error):
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[system]\nmatrix = 1.5 0.5 ; 0.5 1.5\n{rest}\n")
+        assert run_cli([command, "--config", config, "--out", tmp_path / "o", *flags]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == error
+
+    def test_missing_noise_section_reads_like_an_empty_one(self, tmp_path):
+        reports = []
+        for name, extra in (("absent", ""), ("empty", "[noise]\n")):
+            config = tmp_path / f"{name}.ini"
+            config.write_text(BASIC_CONFIG + extra)
+            out = tmp_path / name
+            assert run_cli(["solve", "--config", config, "--out", out, "--noise", "on"]) == 0
+            reports.append((out / "solve_report.json").read_text())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize(
         "extra, named",

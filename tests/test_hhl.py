@@ -139,6 +139,11 @@ class TestConditionalEvolution:
         assert np.max(np.abs(got - expected)) < 1e-10
 
 
+def lsb_first(label, t=2):
+    """Clock basis index (qubit 0 = MSB) holding ``label`` read least significant bit first."""
+    return int(format(label, f"0{t}b")[::-1], 2)
+
+
 def phase_estimate(s, b):
     """Phase estimation of the demo system on |00>_clock (x) |b>."""
     initial = basis_state(2, 0).tensor(PureState(b))
@@ -151,7 +156,7 @@ class TestPhaseEstimate:
         for j, label in ((0, 1), (1, 2)):
             out = phase_estimate(s, s.spectrum.eigenvectors[:, j])
             clock_probs = out.probabilities().reshape(4, 2).sum(axis=1)
-            assert clock_probs[label] == pytest.approx(1.0, abs=1e-9)
+            assert clock_probs[lsb_first(label)] == pytest.approx(1.0, abs=1e-9)
 
     def test_generic_input_splits_evenly(self):
         s = demo_system([1.0, 0.0])
@@ -166,56 +171,58 @@ class TestPhaseEstimate:
 
 
 class TestInversionGates:
-    def apply_branch(self, gates, clock_label):
-        state = basis_state(2, clock_label).tensor(basis_state(1, 0)).tensor(basis_state(1, 0))
+    def apply_branch(self, gates, clock_index):
+        state = basis_state(2, clock_index).tensor(basis_state(1, 0)).tensor(basis_state(1, 0))
         return qc.run_circuit(state, qc.Circuit(4, tuple(gates)))
 
     def test_linear_mode_amplitudes(self):
         gates = hhl.eigenvalue_inversion_gates(hhl.SolverConfig(rotation_mode="linear", r=2))
-        # clock |01> = eigenvalue 1: theta = pi/2, amplitude sin(pi/4)
-        out = self.apply_branch(gates, 0b01)
+        # clock |10> = label 1 = eigenvalue 1: theta = pi/2, amplitude sin(pi/4)
+        out = self.apply_branch(gates, 0b10)
         anc1 = np.linalg.norm(out.amplitudes.reshape(8, 2)[:, 1])
         assert anc1 == pytest.approx(np.sin(np.pi / 4.0), abs=1e-12)
-        # clock |10> = eigenvalue 2: theta = pi/4, amplitude sin(pi/8)
-        out = self.apply_branch(gates, 0b10)
+        # clock |01> = label 2 = eigenvalue 2: theta = pi/4, amplitude sin(pi/8)
+        out = self.apply_branch(gates, 0b01)
         anc1 = np.linalg.norm(out.amplitudes.reshape(8, 2)[:, 1])
         assert anc1 == pytest.approx(np.sin(np.pi / 8.0), abs=1e-12)
 
     def test_exact_mode_amplitudes(self):
         cfg = hhl.SolverConfig(rotation_mode="exact", c_tilde=1.0)
-        gates = hhl.eigenvalue_inversion_gates(cfg)
-        out = self.apply_branch(gates, 0b01)
+        with pytest.raises(ValueError):
+            hhl.eigenvalue_inversion_gates(cfg)
+        gates = hhl._general_inversion_gates(cfg, 1)
+        out = self.apply_branch(gates, lsb_first(1))
         assert np.linalg.norm(out.amplitudes.reshape(8, 2)[:, 1]) == pytest.approx(1.0, abs=1e-12)
-        out = self.apply_branch(gates, 0b10)
+        out = self.apply_branch(gates, lsb_first(2))
         assert np.linalg.norm(out.amplitudes.reshape(8, 2)[:, 1]) == pytest.approx(0.5, abs=1e-12)
 
-    def test_swap_relabels_clock(self):
+    def test_qft_without_bit_reversal_relabels_clock(self):
         s = demo_system([1.0, 0.0])
-        cfg = hhl.SolverConfig()
-        estimated = phase_estimate(s, s.spectrum.eigenvectors[:, 0])  # clock |01>
-        with_anc = estimated.tensor(basis_state(1, 0))
-        gates = hhl.eigenvalue_inversion_gates(cfg)
-        state = qc.run_circuit(with_anc, qc.Circuit(4, tuple(gates)))
-        clock_probs = state.probabilities().reshape(4, 4).sum(axis=1)
-        # label |10> = 2 = 2/lambda_1, per the swap relabeling
-        assert clock_probs[2] == pytest.approx(1.0, abs=1e-9)
+        estimated = phase_estimate(s, s.spectrum.eigenvectors[:, 0])
+        clock_probs = estimated.probabilities().reshape(4, 2).sum(axis=1)
+        # eigenvalue 1 lands on |10>, which read MSB first is 2 = 2/lambda_1:
+        # the relabelling the paper's clock swap performs
+        assert clock_probs[0b10] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("mode", ["linear", "exact"])
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_swap_and_label_keyed_paths_agree(self, mode, r):
         s = demo_system([1.0, 0.0])
         cfg = hhl.resolve_config(s, hhl.SolverConfig(rotation_mode=mode, r=r))
-        swap_path = hhl.eigenvalue_inversion_gates(cfg) + [qc.Swap(0, 1)]
         keyed = hhl._general_inversion_gates(cfg, 1)
+        # the paper's per-bit path is linear-mode only; exact mode keys every label
+        assert hhl.swap_path_available(s, cfg) == (mode == "linear")
+        per_bit = hhl.eigenvalue_inversion_gates(cfg) if mode == "linear" else keyed
         # eigenvalues 1 and 2 are encoded on clock labels 1 and 2
         for j, label in enumerate((1, 2)):
-            via_swap = self.apply_branch(swap_path, label).amplitudes.reshape(4, 2, 2)[label, 0]
-            via_label = self.apply_branch(keyed, label).amplitudes.reshape(4, 2, 2)[label, 0]
+            idx = lsb_first(label)
+            via_bits = self.apply_branch(per_bit, idx).amplitudes.reshape(4, 2, 2)[idx, 0]
+            via_label = self.apply_branch(keyed, idx).amplitudes.reshape(4, 2, 2)[idx, 0]
             u = s.spectrum.eigenvectors[:, j]
             theory = hhl.theoretical_final_state(hhl.linear_system(A_DEMO, u), cfg)
             branch = u.conj() @ theory.amplitudes.reshape(4, 2, 2)[0]
-            assert np.max(np.abs(via_swap - via_label)) < 1e-12
-            assert np.max(np.abs(via_swap - branch)) < 1e-12
+            assert np.max(np.abs(via_bits - via_label)) < 1e-12
+            assert np.max(np.abs(via_bits - branch)) < 1e-12
 
 
 class TestRunHhl:
@@ -300,7 +307,7 @@ class TestRunHhl:
         default = hhl.SolverConfig(rotation_mode="exact")
         assert hhl.resolve_config(s, cfg).c_tilde == float(s.spectrum.eigenvalues.min())
         circuits = [hhl.build_circuit(s, hhl.resolve_config(s, c)) for c in (cfg, default)]
-        assert len(circuits[0]) == len(circuits[1]) == 20
+        assert len(circuits[0]) == len(circuits[1]) == 17
         theory = hhl.theoretical_final_state(s, cfg).amplitudes
         assert np.array_equal(theory, hhl.theoretical_final_state(s, default).amplitudes)
         report = hhl.run_hhl(s, cfg)
@@ -311,7 +318,7 @@ class TestRunHhl:
         b = np.array([0.6, 0.8])
         near = hhl.run_hhl(hhl.linear_system(np.diag([1.0 + 5e-10, 2.0]), b), cfg)
         exact = hhl.run_hhl(hhl.linear_system(np.diag([1.0, 2.0]), b), cfg)
-        assert len(near.circuit) == 20
+        assert len(near.circuit) == 17
         assert near.fidelity_4q >= 1.0 - 1e-9
         assert abs(near.success_probability - exact.success_probability) < 1e-8
 

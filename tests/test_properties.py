@@ -1,4 +1,5 @@
-"""Pipeline invariants over random systems of 1 to 3 solution qubits.
+"""Pipeline invariants over random systems of 1 to 3 solution qubits, and
+a fuzzer over the shipped configs.
 
 Each system is A = Q diag(lambda) Q^dagger with a random unitary Q and
 integer eigenvalues lambda_j, so at t0 = 2*pi every eigenvalue sits exactly
@@ -6,6 +7,9 @@ on its clock label.  The examples are derandomized and no example database
 is kept, so a run is reproducible.
 """
 
+import contextlib
+import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -18,7 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 from hhlsim import circuit as qc  # noqa: E402
-from hhlsim import hhl, reference  # noqa: E402
+from hhlsim import cli, hhl, reference  # noqa: E402
 from hhlsim.qcore import PureState, basis_state  # noqa: E402
 
 # Without a database Hypothesis still caches the constants it finds in
@@ -29,10 +33,10 @@ PROPERTY_SETTINGS = settings(database=None, derandomize=True, max_examples=15, d
 
 
 @st.composite
-def encodable_systems(draw):
+def encodable_systems(draw, max_clock_qubits=3):
     """(system, exact-mode config, eigenvalues, eigenvectors as columns)."""
     n_b = draw(st.integers(1, 3))
-    t = draw(st.integers(2, 3))
+    t = draw(st.integers(2, max_clock_qubits))
     dim = 2**n_b
     lam = np.array(draw(st.lists(st.integers(1, 2**t - 1), min_size=dim, max_size=dim)), dtype=float)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -98,3 +102,60 @@ def test_circuit_text_round_trips(case, mode):
             assert np.array_equal(g.matrix, h.matrix)
         else:
             assert g == h
+
+
+@PROPERTY_SETTINGS
+@given(encodable_systems(max_clock_qubits=4), st.data())
+def test_phase_estimation_leaves_label_lsb_first(case, data):
+    system, cfg, lam, q = case
+    j = data.draw(st.integers(0, len(lam) - 1))
+    t = cfg.clock_qubits
+    initial = basis_state(t, 0).tensor(PureState(q[:, j]))
+    out = qc.run_circuit(initial, qc.Circuit(initial.n_qubits, tuple(hhl._qpe_gates(system, cfg))))
+    clock_mass = out.probabilities().reshape(2**t, -1).sum(axis=1)
+    # label k on qubits 0..t-1 least significant bit first
+    index = int(format(int(lam[j]), f"0{t}b")[::-1], 2)
+    assert clock_mass[index] >= 1.0 - 1e-9
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# no token makes a slow valid run: 30 clock qubits is over the memory budget
+FUZZ_TOKENS = ("", "nan", "-1", "1e400", "abc", "0", "30")
+# the command that reads a section's keys; solve reads the others
+SECTION_COMMAND = {"sweep": "sweep", "tomography": "tomography"}
+
+
+def _key_lines():
+    """(config name, line index, section) of every key line in the shipped configs."""
+    keys = []
+    for path in sorted(CONFIG_DIR.glob("*.ini")):
+        section = None
+        for i, line in enumerate(path.read_text().splitlines()):
+            if line.startswith("["):
+                section = line.strip("[]")
+            elif "=" in line and not line.startswith("#"):
+                keys.append((path.name, i, section))
+    return keys
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(_key_lines()), st.sampled_from(FUZZ_TOKENS))
+def test_config_with_one_bad_value_exits_0_or_2(key_line, token):
+    name, i, section = key_line
+    lines = (CONFIG_DIR / name).read_text().splitlines()
+    lines[i] = lines[i].split("=")[0] + "= " + token
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "fuzz.ini", Path(tmp) / "out"
+        config.write_text("\n".join(lines) + "\n")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([SECTION_COMMAND.get(section, "solve"), "--config", str(config), "--out", str(out)])
+        assert code in (0, 2)
+        if code == 0:
+            json.loads(stdout.getvalue(), parse_constant=_reject_constant)
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(), parse_constant=_reject_constant)
