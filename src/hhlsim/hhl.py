@@ -451,9 +451,9 @@ def run_hhl(
         # rows of m are the clock values, so tracing out the clock is m^T conj(m)
         m = post.amplitudes.reshape(2**t, 2**nb, 2)[:, :, 1]
         rho_b = DensityMatrix(m.T @ m.conj())
-        # qcore.fidelity of the two pure densities: |<a|f>|^2 / (<a|a> <f|f>)
+        # qcore.fidelity of the two pure densities, |<a|f>|^2 / (<a|a> <f|f>) clamped to 1
         a, f = theory.amplitudes, final.amplitudes
-        fid = abs(np.vdot(a, f)) ** 2 / (np.vdot(a, a).real * np.vdot(f, f).real)
+        fid = min(abs(np.vdot(a, f)) ** 2 / (np.vdot(a, a).real * np.vdot(f, f).real), 1.0)
         final_density = None
     else:
         rho_final = qcirc.evolve_density(initial.density(), c, noise_builder(c))

@@ -213,18 +213,17 @@ def lorentzian_fit(samples, n_peaks: int, *, initial) -> list[FittedPeak]:
     ``initial`` is the starting point, (center, intensity, width) per peak,
     and the fitted peaks come back in its order, not sorted by centre: a
     peak of zero intensity has no centre gradient and may drift past a
-    neighbour.  A start whose Lorentzian sum equals every sample exactly is
-    returned as it is, without running the solver: with zero residual the
-    solver's gradient test passes at once and it would return the start
-    unchanged.
-    Any other start goes to damped least squares (Levenberg-Marquardt) with
-    the analytic Jacobian, which raises FitDiverged when the budget of
+    neighbour.  The fit is damped least squares (Levenberg-Marquardt) with
+    the analytic Jacobian; a start whose Lorentzian sum equals every sample
+    exactly comes back unchanged.  Raises FitDiverged when the budget of
     ``_MAX_ITERATIONS`` residual evaluations runs out before the
     relative-change convergence threshold (1e-8) is met.
     """
     data = np.asarray(samples, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
         raise DimensionMismatch("samples must be an (N, 2) array of (freq, amplitude)")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("samples must be finite")
     if n_peaks < 1:
         raise ValueError("n_peaks must be >= 1")
     f, y = data[:, 0], data[:, 1]
@@ -233,22 +232,23 @@ def lorentzian_fit(samples, n_peaks: int, *, initial) -> list[FittedPeak]:
     x0 = np.asarray(initial, dtype=float).reshape(-1)
     if x0.size != 3 * n_peaks:
         raise DimensionMismatch(f"initial needs {3 * n_peaks} values for {n_peaks} peaks, got {x0.size}")
-    x = x0
-    if np.any(_fit_residuals(x0, f, y)):
-        result = least_squares(
-            _fit_residuals,
-            x0,
-            jac=_fit_jacobian,
-            args=(f, y),
-            method="lm",
-            ftol=1e-8,
-            xtol=1e-8,
-            max_nfev=_MAX_ITERATIONS,
-        )
-        if not result.success:
-            raise FitDiverged(f"no convergence within the evaluation budget (status {result.status})")
-        x = result.x
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("initial values must be finite")
+    if np.any(x0[2::3] <= 0.0):
+        raise ValueError("initial widths must be positive")
+    result = least_squares(
+        _fit_residuals,
+        x0,
+        jac=_fit_jacobian,
+        args=(f, y),
+        method="lm",
+        ftol=1e-8,
+        xtol=1e-8,
+        max_nfev=_MAX_ITERATIONS,
+    )
+    if not result.success:
+        raise FitDiverged(f"no convergence within the evaluation budget (status {result.status})")
     return [
         FittedPeak(center=float(c), intensity=float(h), width=float(abs(w)))
-        for c, h, w in x.reshape(-1, 3)
+        for c, h, w in result.x.reshape(-1, 3)
     ]

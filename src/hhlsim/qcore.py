@@ -192,7 +192,8 @@ def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
 
     Symmetric in its arguments and equal to |<psi|phi>|^2 on pure states.
     Each trace is an elementwise sum, Tr(r1 r2) = sum conj(r1_ij) r2_ij
-    for Hermitian r1, so no matrix product is formed.
+    for Hermitian r1, so no matrix product is formed.  The value is clamped
+    to [0, 1], the Cauchy-Schwarz range, which rounding can leave by an ulp.
     """
     if rho1.matrix.shape != rho2.matrix.shape:
         raise DimensionMismatch(
@@ -200,7 +201,7 @@ def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
         )
     overlap = float(np.vdot(rho1.matrix, rho2.matrix).real)
     denom = np.sqrt(rho1.purity() * rho2.purity())
-    return overlap / denom
+    return min(max(overlap / denom, 0.0), 1.0)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

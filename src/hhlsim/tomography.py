@@ -138,12 +138,12 @@ class MeasurementRecord:
         object.__setattr__(self, "peak_amplitudes", _freeze(peaks))
 
 
-def fit_grid(molecule: nmr.MoleculeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fit_grid(molecule: nmr.MoleculeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The per-molecule constants of a fitted readout.
 
     Returns the carbon line centres, the 4096-point frequency grid spanning
-    them with 20 linewidths to spare, and the index of the grid sample
-    nearest each centre, which sets a fit's start intensity.  Raises
+    them with 20 linewidths to spare, the index of the grid sample nearest
+    each centre and the (4096, 8) unit-intensity line shapes.  Raises
     UnresolvedLines when two centres lie closer than one grid step: the fit
     could not tell those lines apart.
     """
@@ -154,18 +154,23 @@ def fit_grid(molecule: nmr.MoleculeParams) -> tuple[np.ndarray, np.ndarray, np.n
     step = freqs[1] - freqs[0]
     if gap < step:
         raise UnresolvedLines(f"two carbon lines lie {gap:.3g} Hz apart, within the fit's {step:.3g} Hz grid step")
-    return centers, freqs, np.argmin(np.abs(freqs[:, None] - centers), axis=0)
+    at_centers = np.argmin(np.abs(freqs[:, None] - centers), axis=0)
+    return centers, freqs, at_centers, nmr.lorentzian(freqs[:, None], centers, 1.0, width)
 
 
 def _fit_peak_values(values: np.ndarray, grid, width: float) -> np.ndarray:
-    """Round-trip real peak values through a rendered spectrum and a Lorentzian fit."""
-    centers, freqs, at_centers = grid
-    signal = np.zeros_like(freqs)
-    for c, v in zip(centers, values):
-        signal += nmr.lorentzian(freqs, c, v, width)
+    """Round-trip real peak values through a rendered spectrum and a Lorentzian fit.
+
+    The fit starts from the intensities that match the spectrum at the grid
+    samples nearest the line centres; an all-zero set comes back unfitted.
+    """
+    if not np.any(values):
+        return np.zeros(8)
+    centers, freqs, at_centers, shapes = grid
+    signal = shapes @ values
     initial = np.empty(24)
     initial[0::3] = centers
-    initial[1::3] = signal[at_centers]
+    initial[1::3] = np.linalg.solve(shapes[at_centers], signal[at_centers])
     initial[2::3] = width
     fitted = nmr.lorentzian_fit(np.column_stack([freqs, signal]), 8, initial=initial)
     return np.array([p.intensity for p in fitted])

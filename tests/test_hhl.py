@@ -362,6 +362,14 @@ class TestPureRunStaysStateVector:
             assert np.max(np.abs(seen.pop() - rho_b.matrix)) < 1e-12
             assert abs(report.fidelity_4q - fid) < 1e-12
 
+    def test_fidelities_stay_within_one(self):
+        # b = (1, 0) in linear mode puts both formulas one ulp above 1 before clamping
+        s = hhl.linear_system(A_DEMO, [1.0, 0.0])
+        cfg = hhl.SolverConfig(rotation_mode="linear")
+        report = hhl.run_hhl(s, cfg)
+        assert report.fidelity_4q == 1.0
+        assert qcore.fidelity(hhl.theoretical_final_state(s, cfg).density(), report.final_state.density()) == 1.0
+
     def test_sixteen_qubit_exact_solve(self):
         s = encodable_system(np.random.default_rng(16), 16)
         report = hhl.run_hhl(s, hhl.SolverConfig(clock_qubits=11, rotation_mode="exact"))

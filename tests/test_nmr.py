@@ -157,19 +157,10 @@ class TestLorentzianFit:
         [[(0.0, 0.0, 1.0), (3.0, 0.0, 1.0)], [(0.0, 1.0, 1.0), (3.0, 0.7, 1.0)]],
         ids=["all_zero", "nonzero"],
     )
-    def test_exact_start_skips_the_solver(self, monkeypatch, peaks):
+    def test_exact_start_comes_back_unchanged(self, peaks):
         data = self.sample(peaks, np.linspace(-10.0, 13.0, 600))
-        x0 = np.ravel(peaks)
-        solved = nmr.least_squares(
-            nmr._fit_residuals, x0, jac=nmr._fit_jacobian, args=(data[:, 0], data[:, 1]),
-            method="lm", ftol=1e-8, xtol=1e-8,
-        )
-        calls = []
-        monkeypatch.setattr(nmr, "least_squares", lambda *args, **kwargs: calls.append(args))
-        fitted = nmr.lorentzian_fit(data, 2, initial=x0)
-        assert calls == []
-        got = [(p.center, p.intensity, p.width) for p in fitted]
-        assert got == [(c, h, abs(w)) for c, h, w in solved.x.reshape(-1, 3)]
+        fitted = nmr.lorentzian_fit(data, 2, initial=np.ravel(peaks))
+        assert [(p.center, p.intensity, p.width) for p in fitted] == peaks
 
     def test_budget_counts_residual_evaluations(self, monkeypatch):
         freqs = np.linspace(-10.0, 13.0, 600)
@@ -186,6 +177,20 @@ class TestLorentzianFit:
         freqs = np.linspace(-10.0, 10.0, 400)
         with pytest.raises(DimensionMismatch):
             nmr.lorentzian_fit(self.sample([(1.3, 2.0, 0.8)], freqs), 2, initial=[0.5, 1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "name, index, value",
+        [("samples", (5, 1), np.nan), ("samples", (5, 0), np.inf), ("initial", 1, np.nan), ("initial", 2, 0.0)],
+        ids=["nan_amplitude", "inf_frequency", "nan_start", "zero_start_width"],
+    )
+    def test_rejects_non_finite_input_and_non_positive_start_width(self, name, index, value):
+        inputs = {
+            "samples": self.sample([(1.3, 2.0, 0.8)], np.linspace(-10.0, 10.0, 400)),
+            "initial": np.array([0.5, 1.0, 2.0]),
+        }
+        inputs[name][index] = value
+        with pytest.raises(ValueError, match=f"^{name}"):
+            nmr.lorentzian_fit(inputs["samples"], 1, initial=inputs["initial"])
 
     def test_synthesize_then_fit_round_trip(self):
         s = hhl.linear_system(A_DEMO, [1.0, 0.0])

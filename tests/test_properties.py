@@ -1,5 +1,6 @@
-"""Pipeline invariants over random systems of 1 to 3 solution qubits, and
-a fuzzer over the shipped configs.
+"""Pipeline invariants over random systems of 1 to 3 solution qubits, the
+fitted readout over random states and line positions, and a fuzzer over
+the shipped configs.
 
 Each system is A = Q diag(lambda) Q^dagger with a random unitary Q and
 integer eigenvalues lambda_j, so at t0 = 2*pi every eigenvalue sits exactly
@@ -17,13 +18,14 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 from hhlsim import circuit as qc  # noqa: E402
-from hhlsim import cli, hhl, reference  # noqa: E402
-from hhlsim.qcore import PureState, basis_state  # noqa: E402
+from hhlsim import cli, hhl, nmr, reference, tomography  # noqa: E402
+from hhlsim.errors import UnresolvedLines  # noqa: E402
+from hhlsim.qcore import DensityMatrix, PureState, basis_state  # noqa: E402
 
 # Without a database Hypothesis still caches the constants it finds in
 # local source files under its home directory; keep that out of the tree.
@@ -116,6 +118,37 @@ def test_phase_estimation_leaves_label_lsb_first(case, data):
     # label k on qubits 0..t-1 least significant bit first
     index = int(format(int(lam[j]), f"0{t}b")[::-1], 2)
     assert clock_mass[index] >= 1.0 - 1e-9
+
+
+@st.composite
+def four_qubit_densities(draw):
+    """A random 4-qubit density of rank 1 (pure) to 16."""
+    rank = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(16, rank)) + 1j * rng.normal(size=(16, rank))
+    rho = g @ g.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
+@PROPERTY_SETTINGS
+@given(
+    four_qubit_densities(),
+    st.lists(st.floats(-150.0, 150.0), min_size=3, max_size=3),
+    st.floats(0.3, 8.0),
+)
+def test_fitted_partial_readout_matches_exact(rho, c_f, linewidth):
+    j = np.array(nmr._DEFAULT_J)
+    j[0, 1:] = j[1:, 0] = c_f
+    molecule = nmr.MoleculeParams(j_couplings=j, linewidth=linewidth)
+    try:
+        tomography.fit_grid(molecule)
+    except UnresolvedLines:
+        reject()
+    pulses = tomography.pulse_catalog("partial")
+    exact = tomography.simulate_readout(rho, pulses)
+    fitted = tomography.simulate_readout(rho, pulses, fit_via_spectrum=True, molecule=molecule)
+    for a, b in zip(exact, fitted):
+        assert np.max(np.abs(a.peak_amplitudes - b.peak_amplitudes)) < 1e-9
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

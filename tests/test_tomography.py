@@ -174,6 +174,36 @@ class TestReconstruction:
         for a, b in zip(exact, fitted):
             assert np.max(np.abs(a.peak_amplitudes - b.peak_amplitudes)) < 1e-9
 
+    def test_fit_of_broad_overlapping_lines_matches_exact(self):
+        # at 300 Hz all eight lines overlap; starting from the raw spectrum
+        # heights left experiment 1's fitted lines 2e-9 off
+        settings = config.load_config(CONFIG_DIR / "experiment1.ini")
+        rho = hhl.theoretical_final_state(settings.system, settings.solver).density()
+        molecule = nmr.MoleculeParams(linewidth=300.0)
+        exact = tomo.simulate_readout(rho, tomo.pulse_catalog("full"))
+        fitted = tomo.simulate_readout(rho, tomo.pulse_catalog("full"), fit_via_spectrum=True, molecule=molecule)
+        for a, b in zip(exact, fitted):
+            assert np.max(np.abs(a.peak_amplitudes - b.peak_amplitudes)) < 1e-9
+
+    def test_all_zero_line_set_is_not_fitted(self, monkeypatch):
+        monkeypatch.setattr(nmr, "lorentzian_fit", lambda *args, **kwargs: pytest.fail("fitted an empty spectrum"))
+        molecule = nmr.MoleculeParams()
+        values = tomo._fit_peak_values(np.full(8, -0.0), tomo.fit_grid(molecule), molecule.linewidth)
+        assert values.tobytes() == np.zeros(8).tobytes()
+
+    def test_b10_full_readout_fits_nine_line_sets(self, monkeypatch):
+        calls = []
+        fit = nmr.lorentzian_fit
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(nmr, "lorentzian_fit", spy)
+        rho = ideal_final_state([1.0, 0.0], mode="exact").density()
+        tomo.simulate_readout(rho, tomo.pulse_catalog("full"), fit_via_spectrum=True)
+        assert len(calls) == 9
+
     def test_fit_keeps_each_line_on_its_own_peak(self):
         # lines 1 Hz apart: a zero-intensity peak's centre drifts under the
         # fit, so pairing peaks with the nearest line took a neighbour's value
