@@ -2,8 +2,8 @@
 
 Gates act on a register whose qubit 0 is the most significant bit of the
 basis-state index (see qcore).  Controlled gates carry explicit required
-control values, not just control-on-one, because the solver's eigenvalue
-inversion rotates the ancilla on every clock basis value.
+control values.  The solver's label-keyed eigenvalue inversion is one
+MultiplexedRy, a rotation whose angle the clock label selects.
 """
 
 from __future__ import annotations
@@ -61,25 +61,55 @@ class ControlledUnitary:
         object.__setattr__(self, "matrix", qcore._freeze(m))
 
 
-Gate = Union[Hadamard, ControlledUnitary]
+@dataclass(frozen=True, eq=False)
+class MultiplexedRy:
+    """Ry(angles[k]) on ``target`` when the ``selectors`` hold label k, read least
+    significant bit first (Mottonen et al., quant-ph/0404089)."""
+
+    selectors: tuple[int, ...]
+    target: int
+    angles: np.ndarray
+
+    def __post_init__(self):
+        selectors = tuple(int(q) for q in self.selectors)
+        target = int(self.target)
+        if not selectors or len(set(selectors + (target,))) != len(selectors) + 1:
+            raise IndexOutOfRange("needs one or more selectors, all distinct from the target")
+        angles = np.asarray(self.angles, dtype=float)
+        if angles.shape != (2 ** len(selectors),):
+            raise DimensionMismatch(f"{len(selectors)} selectors need {2 ** len(selectors)} angles, got {angles.size}")
+        if not np.all(np.isfinite(angles)):
+            raise ValueError("angles must be finite")
+        object.__setattr__(self, "selectors", selectors)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "angles", qcore._freeze(angles))
+
+
+Gate = Union[Hadamard, ControlledUnitary, MultiplexedRy]
 
 
 def gate_qubits(g: Gate) -> tuple[int, ...]:
     if isinstance(g, Hadamard):
         return (g.qubit,)
+    if isinstance(g, MultiplexedRy):
+        return g.selectors + (g.target,)
     return tuple(q for q, _ in g.controls) + g.targets
 
 
 def _gate_block(g: Gate) -> tuple[tuple[int, ...], np.ndarray]:
-    """Target qubits and the matrix applied to them (controls handled separately)."""
+    """Block qubits and the matrix, or stack of matrices, applied to them (controls handled separately)."""
     if isinstance(g, Hadamard):
         return (g.qubit,), _H
+    if isinstance(g, MultiplexedRy):
+        return g.selectors[::-1] + (g.target,), qcore.rotation_y(g.angles)
     return g.targets, g.matrix
 
 
 def gate_inverse(g: Gate) -> Gate:
     if isinstance(g, Hadamard):
         return g
+    if isinstance(g, MultiplexedRy):
+        return MultiplexedRy(g.selectors, g.target, -g.angles)
     return ControlledUnitary(g.controls, g.targets, g.matrix.conj().T)
 
 
@@ -107,14 +137,15 @@ class Circuit:
 
 
 def _apply_block(tensor: np.ndarray, matrix: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Multiply ``matrix`` into the given tensor axes (first axis = block MSB)."""
+    """Multiply ``matrix`` into the given tensor axes (first axis = block MSB);
+    a (2^s, d, d) stack applies block i where the first s axes spell i."""
     n = tensor.ndim
-    k = len(axes)
     rest = [ax for ax in range(n) if ax not in axes]
     perm = list(axes) + rest
     inv = np.argsort(perm)
-    t = tensor.transpose(perm).reshape(2**k, -1)
-    t = matrix @ t
+    stack = matrix.reshape(-1, *matrix.shape[-2:])
+    t = tensor.transpose(perm).reshape(len(stack), matrix.shape[-1], -1)
+    t = stack @ t
     return t.reshape([2] * n).transpose(inv)
 
 
@@ -380,12 +411,15 @@ def circuit_to_text(c: Circuit) -> str:
                 lines.append(f"CU {ctrl} {tgt} {_fmt_matrix(g.matrix)}")
             else:
                 lines.append(f"U {tgt} {_fmt_matrix(g.matrix)}")
+        elif isinstance(g, MultiplexedRy):
+            lines.append(f"MRY {','.join(map(str, g.selectors))} {g.target} {','.join(map(repr, g.angles.tolist()))}")
         else:
             raise TypeError(f"unsupported gate {g!r}")
     return "\n".join(lines) + "\n"
 
 
 def circuit_from_text(text: str) -> Circuit:
+    """Parse circuit_to_text output; a malformed line raises ValueError naming it."""
     n_qubits = None
     registers: dict[str, tuple[int, ...]] = {}
     gates: list[Gate] = []
@@ -393,25 +427,32 @@ def circuit_from_text(text: str) -> Circuit:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        kind = parts[0].upper()
-        if kind == "QUBITS":
-            n_qubits = int(parts[1])
-        elif kind == "REGISTER":
-            registers[parts[1]] = tuple(int(p) for p in parts[2:])
-        elif kind == "H":
-            gates.append(Hadamard(int(parts[1])))
-        elif kind == "CU":
-            controls = tuple(
-                (int(pair.split(":")[0]), int(pair.split(":")[1])) for pair in parts[1].split(",")
-            )
-            targets = tuple(int(x) for x in parts[2].split(","))
-            gates.append(ControlledUnitary(controls, targets, _parse_matrix(parts[3])))
-        elif kind == "U":
-            targets = tuple(int(x) for x in parts[1].split(","))
-            gates.append(ControlledUnitary((), targets, _parse_matrix(parts[2])))
-        else:
-            raise ValueError(f"unknown gate line: {raw!r}")
+        kind, *fields = line.split()
+        kind = kind.upper()
+        try:  # a missing or extra field fails its unpacking with ValueError
+            if kind == "QUBITS":
+                (n,) = fields
+                n_qubits = int(n)
+            elif kind == "REGISTER":
+                name, *qubits = fields
+                registers[name] = tuple(int(q) for q in qubits)
+            elif kind == "H":
+                (q,) = fields
+                gates.append(Hadamard(int(q)))
+            elif kind == "CU":
+                ctrl, tgt, matrix = fields
+                controls = [pair.split(":") for pair in ctrl.split(",")]
+                gates.append(ControlledUnitary(controls, tgt.split(","), _parse_matrix(matrix)))
+            elif kind == "U":
+                tgt, matrix = fields
+                gates.append(ControlledUnitary((), tgt.split(","), _parse_matrix(matrix)))
+            elif kind == "MRY":
+                sel, tgt, angles = fields
+                gates.append(MultiplexedRy(sel.split(","), int(tgt), [float(a) for a in angles.split(",")]))
+            else:
+                raise ValueError("unknown gate kind")
+        except ValueError as exc:
+            raise ValueError(f"malformed circuit line {raw!r}: {exc}") from exc
     if n_qubits is None:
         raise ValueError("circuit text is missing the QUBITS header")
     return Circuit(n_qubits, tuple(gates), registers)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import circuit as qcirc
 from . import qcore, reference
-from .circuit import Circuit, ControlledUnitary, Gate, Hadamard
+from .circuit import Circuit, ControlledUnitary, Gate, Hadamard, MultiplexedRy
 from .errors import (
     EigenvalueNotEncodable,
     NotPositiveDefinite,
@@ -85,10 +85,6 @@ ENCODING_ATOL = 1e-9
 # amplitudes (pure) or 4^n entries (density), 16 bytes each; 256 MiB is a
 # 24-qubit state vector or a 12-qubit density matrix.
 MAX_STATE_BYTES = 2**28
-# Memory per gate beyond its matrix entries.  tracemalloc puts the 367
-# gates of an n_b = 1, t = 8 circuit at 0.33 MB (0.89 KB each) and the
-# 131,461 of t = 17 at 193 MB (1.47 KB each, as control tuples grow with t).
-GATE_BYTES = 1536
 
 
 def _is_positive_int(value) -> bool:
@@ -150,17 +146,11 @@ def _require_within_budget(sys: LinearSystem, cfg: SolverConfig, *, density: boo
     kind = "density matrix" if density else "state vector"
     needs = {f"a {n}-qubit {kind}": 16 * (4**n if density else 2**n)}
     if circuit:
-        # an evolution block per clock qubit in the QPE and its inverse, a rotation per clock value
-        needs[f"a {t}-qubit clock's circuit"] = 2 * t * 16 * 4**sys.n_solution_qubits + 2**t * GATE_BYTES
+        # an evolution block per clock qubit in the QPE and its inverse; the 2^t angles are smaller than the state
+        needs[f"a {t}-qubit clock's circuit"] = 2 * t * 16 * 4**sys.n_solution_qubits
     for what, size in needs.items():
         if size > MAX_STATE_BYTES:
             raise RegisterTooWide(f"{what} needs {size} bytes, over the {MAX_STATE_BYTES}-byte budget")
-
-
-def _clock_pattern(value: int, t: int) -> tuple[tuple[int, int], ...]:
-    """Controls requiring the t-qubit clock to hold label ``value`` as phase
-    estimation leaves it, least significant bit first (qubit 0 = LSB)."""
-    return tuple((q, (value >> q) & 1) for q in range(t))
 
 
 def conditional_evolution(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
@@ -182,7 +172,7 @@ def _qpe_gates(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
     """Phase estimation: clock superposition, conditional evolution, QFT.
 
     The QFT has no bit reversal, so eigenvalue label k is left on the clock
-    least significant bit first (see _clock_pattern).
+    least significant bit first, as MultiplexedRy reads its selectors.
     """
     t = cfg.clock_qubits
     return [Hadamard(q) for q in range(t)] + conditional_evolution(sys, cfg) + list(qcirc.qft(t).gates)
@@ -211,19 +201,6 @@ def _inversion_rotation(cfg: SolverConfig, lam):
     return 2.0 * np.arcsin(clipped), sin_half, np.sqrt(1.0 - clipped**2)
 
 
-def _rotation_gates(cfg: SolverConfig, lam: float, controls, ancilla: int) -> list[Gate]:
-    """Controlled Ry on the ancilla for eigenvalue ``lam``; none if c_tilde/lam > 1.
-
-    An eigenvalue may sit up to ENCODING_ATOL above its clock label, so
-    c_tilde/lam may exceed 1 by as much; that label keeps its (clipped)
-    rotation.
-    """
-    theta, sin_half, _ = _inversion_rotation(cfg, lam)
-    if sin_half > 1.0 + ENCODING_ATOL:
-        return []  # no valid rotation; such labels carry no amplitude
-    return [ControlledUnitary(controls, (ancilla,), qcore.rotation_y(theta))]
-
-
 def eigenvalue_inversion_gates(cfg: SolverConfig, n_solution_qubits: int = 1) -> list[Gate]:
     """The paper's linear-mode inversion: one controlled Ry per clock qubit.
 
@@ -232,35 +209,31 @@ def eigenvalue_inversion_gates(cfg: SolverConfig, n_solution_qubits: int = 1) ->
     m = 2/k: the relabelling |k> -> |2/k> the paper performs with a clock
     swap.  theta = (2*pi/2^r)/lambda is linear in m, so per-bit rotations
     weighted by place value sum to it.  Labels other than 1 and 2 are not
-    inverted; build_circuit takes this path only when swap_path_available.
+    inverted, so build_circuit takes this path only when per_bit_path_available
+    and the MultiplexedRy of _general_inversion_gates otherwise.
     """
     if cfg.rotation_mode != "linear":
         raise ValueError("the per-bit inversion is linear-mode only")
     t = cfg.clock_qubits
-    ancilla = t + n_solution_qubits
-    gates: list[Gate] = []
-    for q in range(t):
-        # read MSB first, qubit q has place value m = 2^(t-1-q): the eigenvalue encoded as 2/m
-        lam = 2.0 * TWO_PI / (cfg.t0 * 2 ** (t - 1 - q))
-        gates += _rotation_gates(cfg, lam, ((q, 1),), ancilla)
-    return gates
+    # read MSB first, qubit q has place value m = 2^(t-1-q): the eigenvalue encoded as 2/m
+    theta, _, _ = _inversion_rotation(cfg, 2.0 * TWO_PI / (cfg.t0 * 2.0 ** (t - 1 - np.arange(t))))
+    return [ControlledUnitary(((q, 1),), (t + n_solution_qubits,), qcore.rotation_y(theta[q])) for q in range(t)]
 
 
 def _general_inversion_gates(cfg: SolverConfig, n_solution_qubits: int) -> list[Gate]:
-    """Rotations keyed directly on the clock label |k>, one per nonzero label.
+    """One Ry on the ancilla keyed on the clock label, for any (approximately) encoded spectrum.
 
-    Works for any encodable spectrum (and approximately encoded ones) in
-    either mode; used whenever the per-bit linear path does not apply.
+    Label 0, and a label whose c_tilde/lambda exceeds 1 by more than
+    ENCODING_ATOL (it carries no amplitude), gets angle 0; within that
+    tolerance an eigenvalue above its label keeps its clipped rotation.
     """
     t = cfg.clock_qubits
-    ancilla = t + n_solution_qubits
-    gates: list[Gate] = []
-    for k in range(1, 2**t):
-        gates += _rotation_gates(cfg, TWO_PI * k / cfg.t0, _clock_pattern(k, t), ancilla)
-    return gates
+    theta, sin_half, _ = _inversion_rotation(cfg, TWO_PI * np.arange(1, 2**t) / cfg.t0)
+    angles = np.concatenate(([0.0], np.where(sin_half > 1.0 + ENCODING_ATOL, 0.0, theta)))
+    return [MultiplexedRy(tuple(range(t)), t + n_solution_qubits, angles)]
 
 
-def swap_path_available(sys: LinearSystem, cfg: SolverConfig) -> bool:
+def per_bit_path_available(sys: LinearSystem, cfg: SolverConfig) -> bool:
     """Whether the paper's per-bit inversion (eigenvalue_inversion_gates) applies."""
     if cfg.rotation_mode != "linear" or cfg.clock_qubits != 2 or not is_exact_encoding(sys, cfg):
         return False
@@ -300,7 +273,7 @@ def build_circuit(sys: LinearSystem, cfg: SolverConfig) -> Circuit:
     t, nb = cfg.clock_qubits, sys.n_solution_qubits
     n = t + nb + 1
     qpe = _qpe_gates(sys, cfg)
-    if swap_path_available(sys, cfg):
+    if per_bit_path_available(sys, cfg):
         inversion = eigenvalue_inversion_gates(cfg, nb)
     else:
         inversion = _general_inversion_gates(cfg, nb)

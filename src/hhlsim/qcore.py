@@ -220,9 +220,10 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(reduced.reshape(d, d))
 
 
-def rotation_y(theta: float) -> np.ndarray:
+def rotation_y(theta) -> np.ndarray:
+    """Ry(theta); an array of angles gives the stack of their matrices, shape (..., 2, 2)."""
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.moveaxis(np.array([[c, -s], [s, c]], dtype=complex), (0, 1), (-2, -1))
 
 
 def rotation_x(theta: float) -> np.ndarray:

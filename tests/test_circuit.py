@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from hhlsim import circuit as qc
 from hhlsim.errors import (
+    DimensionMismatch,
     IndexOutOfRange,
     NotUnitary,
     WidthMismatch,
@@ -138,6 +141,56 @@ class TestRunCircuit:
             expected = full @ state.amplitudes
             got = qc.run_circuit(state, c).amplitudes
             assert np.max(np.abs(got - expected)) < 1e-9
+
+
+def label_keyed_rotations(selectors, target, angles):
+    """Reference for MultiplexedRy: one Ry per label k, controlled on the
+    selectors holding k least significant bit first."""
+    return tuple(
+        qc.ControlledUnitary(tuple((q, (k >> i) & 1) for i, q in enumerate(selectors)), (target,), ry(theta))
+        for k, theta in enumerate(angles)
+    )
+
+
+class TestMultiplexedRy:
+    @staticmethod
+    def random_gate(rng, t):
+        """A t-selector rotation on t + 2 qubits in shuffled positions (one spectator)."""
+        qubits = [int(q) for q in rng.permutation(t + 2)]
+        angles = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=2**t)
+        return qc.MultiplexedRy(qubits[:t], qubits[t], angles)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_matches_label_keyed_rotations(self, t):
+        rng = np.random.default_rng(40 + t)
+        for _ in range(3):
+            g = self.random_gate(rng, t)
+            multiplexed = qc.Circuit(t + 2, (g,))
+            reference = qc.Circuit(t + 2, label_keyed_rotations(g.selectors, g.target, g.angles))
+            state = random_state(rng, t + 2)
+            got = qc.run_circuit(state, multiplexed).amplitudes
+            assert np.max(np.abs(got - qc.run_circuit(state, reference).amplitudes)) < 1e-12
+            # a rank-2 mixed state, so the bra side differs from the ket side
+            rho = DensityMatrix(0.7 * state.density().matrix + 0.3 * random_state(rng, t + 2).density().matrix)
+            got = qc.evolve_density(rho, multiplexed).matrix
+            assert np.max(np.abs(got - qc.evolve_density(rho, reference).matrix)) < 1e-12
+            back = qc.run_circuit(qc.run_circuit(state, multiplexed), multiplexed.inverse())
+            assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+
+    def test_noise_schedule_counts_one_gate_on_all_its_qubits(self):
+        g = qc.MultiplexedRy((2, 0), 3, np.zeros(4))
+        (event,) = qc.pulse_error_schedule(qc.Circuit(4, (g,)), 0.01)
+        assert event.qubits == (2, 0, 3)
+
+    def test_rejects_bad_gates(self):
+        with pytest.raises(IndexOutOfRange):
+            qc.MultiplexedRy((0, 1), 1, np.zeros(4))
+        with pytest.raises(DimensionMismatch):
+            qc.MultiplexedRy((0, 1), 2, np.zeros(2))
+        with pytest.raises(ValueError):
+            qc.MultiplexedRy((0,), 1, [0.0, np.inf])
+        with pytest.raises(IndexOutOfRange):
+            qc.MultiplexedRy((), 0, [0.0])
 
 
 class TestQft:
@@ -300,11 +353,27 @@ class TestSerialization:
         assert back.controls == () and back.targets == (1, 0)
         assert np.array_equal(back.matrix, g.matrix)
 
+    def test_multiplexed_ry_is_an_mry_line(self):
+        g = qc.MultiplexedRy((2, 0), 1, [0.0, -0.0, 0.1, -np.pi / 3.0])
+        text = qc.circuit_to_text(qc.Circuit(3, (g,)))
+        assert text.splitlines()[1] == "MRY 2,0 1 0.0,-0.0,0.1,-1.0471975511965976"
+        (back,) = qc.circuit_from_text(text).gates
+        assert (back.selectors, back.target) == (g.selectors, g.target)
+        assert back.angles.tobytes() == g.angles.tobytes()
+
     def test_rejects_unknown_lines(self):
         with pytest.raises(ValueError):
             qc.circuit_from_text("QUBITS 2\nBOGUS 0\n")
         with pytest.raises(ValueError):
             qc.circuit_from_text("QUBITS 2\nSWAP 0 1\n")
+        # truncated or ragged lines: a ValueError that names the line
+        for line in ("QUBITS", "H", "U 1", "CU 0:1 1", "CU 0 1 1,0;0,1", "CU 0:1 1 1,0;0", "MRY 0 1 0.5,nan"):
+            with pytest.raises(ValueError, match=re.escape(repr(line))):
+                qc.circuit_from_text(f"QUBITS 2\n{line}\n")
+        # a well-formed MRY line whose gate is invalid: the gate's own typed error
+        for line, error in (("MRY 0 1 0.5", DimensionMismatch), ("MRY 0 0 0.5,0.25", IndexOutOfRange)):
+            with pytest.raises(error):
+                qc.circuit_from_text(f"QUBITS 2\n{line}\n")
 
     def test_rejects_non_unitary_cu_line(self):
         with pytest.raises(NotUnitary):

@@ -144,6 +144,12 @@ def lsb_first(label, t=2):
     return int(format(label, f"0{t}b")[::-1], 2)
 
 
+def inversion_angles(circuit):
+    """Angles of the circuit's one label-keyed inversion rotation."""
+    (rotation,) = [g for g in circuit.gates if isinstance(g, qc.MultiplexedRy)]
+    return rotation.angles
+
+
 def phase_estimate(s, b):
     """Phase estimation of the demo system on |00>_clock (x) |b>."""
     initial = basis_state(2, 0).tensor(PureState(b))
@@ -204,6 +210,15 @@ class TestInversionGates:
         # the relabelling the paper's clock swap performs
         assert clock_probs[0b10] == pytest.approx(1.0, abs=1e-9)
 
+    def test_label_keyed_circuit_is_quadratic_in_clock_width(self):
+        s = hhl.linear_system(np.eye(2), [1.0, 0.0])
+        for t in range(1, 15):
+            cfg = hhl.resolve_config(s, hhl.SolverConfig(clock_qubits=t, rotation_mode="exact"))
+            c = hhl.build_circuit(s, cfg)
+            # t Hadamards, t evolution blocks and a t(t+1)/2-gate QFT each way, one rotation
+            assert len(c) == t * t + 5 * t + 1
+            assert inversion_angles(c).shape == (2**t,)
+
     @pytest.mark.parametrize("mode", ["linear", "exact"])
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_swap_and_label_keyed_paths_agree(self, mode, r):
@@ -211,7 +226,7 @@ class TestInversionGates:
         cfg = hhl.resolve_config(s, hhl.SolverConfig(rotation_mode=mode, r=r))
         keyed = hhl._general_inversion_gates(cfg, 1)
         # the paper's per-bit path is linear-mode only; exact mode keys every label
-        assert hhl.swap_path_available(s, cfg) == (mode == "linear")
+        assert hhl.per_bit_path_available(s, cfg) == (mode == "linear")
         per_bit = hhl.eigenvalue_inversion_gates(cfg) if mode == "linear" else keyed
         # eigenvalues 1 and 2 are encoded on clock labels 1 and 2
         for j, label in enumerate((1, 2)):
@@ -307,7 +322,8 @@ class TestRunHhl:
         default = hhl.SolverConfig(rotation_mode="exact")
         assert hhl.resolve_config(s, cfg).c_tilde == float(s.spectrum.eigenvalues.min())
         circuits = [hhl.build_circuit(s, hhl.resolve_config(s, c)) for c in (cfg, default)]
-        assert len(circuits[0]) == len(circuits[1]) == 17
+        # label 1 (eigenvalue 1) keeps its rotation by pi in both circuits
+        assert [inversion_angles(c)[1] for c in circuits] == [np.pi, np.pi]
         theory = hhl.theoretical_final_state(s, cfg).amplitudes
         assert np.array_equal(theory, hhl.theoretical_final_state(s, default).amplitudes)
         report = hhl.run_hhl(s, cfg)
@@ -318,7 +334,8 @@ class TestRunHhl:
         b = np.array([0.6, 0.8])
         near = hhl.run_hhl(hhl.linear_system(np.diag([1.0 + 5e-10, 2.0]), b), cfg)
         exact = hhl.run_hhl(hhl.linear_system(np.diag([1.0, 2.0]), b), cfg)
-        assert len(near.circuit) == 17
+        # c_tilde / lambda = 1 + 5e-10 on label 1 clips to a rotation by pi
+        assert inversion_angles(near.circuit)[1] == np.pi
         assert near.fidelity_4q >= 1.0 - 1e-9
         assert abs(near.success_probability - exact.success_probability) < 1e-8
 
@@ -394,10 +411,10 @@ class TestPureRunStaysStateVector:
 
 class TestStateBudget:
     # Widest demo registers (one solution qubit, one ancilla) that fit.  A
-    # pure run is bound by its circuit, 2t * 64 + 2^t * GATE_BYTES bytes:
-    # 201 MB at t = 17.  A noisy run is bound by its 4^n * 16-byte final
-    # state.
-    PURE_MAX = 19
+    # pure run is bound by its 2^n * 16-byte final state (its circuit,
+    # 2t * 64 bytes of evolution blocks and 2^t angles, is smaller), a
+    # noisy run by its 4^n * 16-byte final state.
+    PURE_MAX = 24
     DENSITY_MAX = int(np.log2(hhl.MAX_STATE_BYTES // 16)) // 2
 
     @pytest.fixture
@@ -424,9 +441,6 @@ class TestStateBudget:
             self.run((self.DENSITY_MAX if noisy else self.PURE_MAX) + 1, noisy)
 
     def test_circuit_over_budget_raises_before_building(self, no_build):
-        # a 24-qubit state vector fits, but 2^22 inversion rotations need 6.4 GB
-        with pytest.raises(RegisterTooWide, match="circuit"):
-            self.run(24, noisy=False)
         # a 16 MiB state vector, but 2 * 9 evolution blocks of 16 MiB each
         wide = hhl.linear_system(np.eye(1024), np.eye(1024)[0])
         with pytest.raises(RegisterTooWide, match="circuit"):

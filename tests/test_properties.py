@@ -102,6 +102,9 @@ def test_circuit_text_round_trips(case, mode):
         if isinstance(g, qc.ControlledUnitary):
             assert (g.controls, g.targets) == (h.controls, h.targets)
             assert np.array_equal(g.matrix, h.matrix)
+        elif isinstance(g, qc.MultiplexedRy):
+            assert (g.selectors, g.target) == (h.selectors, h.target)
+            assert np.array_equal(g.angles, h.angles)
         else:
             assert g == h
 
