@@ -136,51 +136,44 @@ class Circuit:
         return Circuit(self.n_qubits, tuple(gate_inverse(g) for g in reversed(self.gates)), self.registers)
 
 
-def _apply_block(tensor: np.ndarray, matrix: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Multiply ``matrix`` into the given tensor axes (first axis = block MSB);
+def _apply_block(tensor: np.ndarray, matrix: np.ndarray, axes: Sequence[int]) -> None:
+    """Multiply ``matrix`` in place into the given tensor axes (first axis = block MSB);
     a (2^s, d, d) stack applies block i where the first s axes spell i."""
-    n = tensor.ndim
-    rest = [ax for ax in range(n) if ax not in axes]
-    perm = list(axes) + rest
-    inv = np.argsort(perm)
+    rest = [ax for ax in range(tensor.ndim) if ax not in axes]
+    view = tensor.transpose(list(axes) + rest)
     stack = matrix.reshape(-1, *matrix.shape[-2:])
-    t = tensor.transpose(perm).reshape(len(stack), matrix.shape[-1], -1)
-    t = stack @ t
-    return t.reshape([2] * n).transpose(inv)
+    view[...] = (stack @ view.reshape(len(stack), matrix.shape[-1], -1)).reshape(view.shape)
 
 
-def _apply_gate_tensor(tensor: np.ndarray, g: Gate, offset: int, conjugate: bool) -> np.ndarray:
-    """Apply a gate to the tensor axes [offset, offset + n).
+def _apply_gate_tensor(tensor: np.ndarray, g: Gate, offset: int, conjugate: bool) -> None:
+    """Apply a gate in place to the tensor axes [offset, offset + n).
 
-    ``conjugate`` selects the bra side of a density matrix, where the entry
-    transformation rho -> U rho U^dagger multiplies conj(U) into the bra
-    indices.
+    The block acts on the slice the controls select, which for a gate
+    without controls is the whole tensor.  ``conjugate`` selects the bra
+    side of a density matrix, where the entry transformation
+    rho -> U rho U^dagger multiplies conj(U) into the bra indices.
     """
     targets, block = _gate_block(g)
     if conjugate:
         block = block.conj()
     controls = g.controls if isinstance(g, ControlledUnitary) else ()
-    if not controls:
-        return _apply_block(tensor, block, [q + offset for q in targets])
     idx = [slice(None)] * tensor.ndim
     for q, v in controls:
         idx[q + offset] = v
     idx = tuple(idx)
-    sub = tensor[idx]
     # integer indexing removed the control axes; shift target positions
     adj = [q + offset - sum(c < q for c, _ in controls) for q in targets]
-    out = tensor.copy()
-    out[idx] = _apply_block(sub, block, adj)
-    return out
+    _apply_block(tensor[idx], block, adj)
 
 
 def run_circuit(state: PureState, c: Circuit) -> PureState:
     """Apply the circuit's gates left to right."""
     if state.n_qubits != c.n_qubits:
         raise WidthMismatch(f"state has {state.n_qubits} qubits, circuit {c.n_qubits}")
-    tensor = state.amplitudes.reshape([2] * c.n_qubits)
+    # gates write in place, so the evolved tensor owns its memory
+    tensor = state.amplitudes.reshape([2] * c.n_qubits).copy()
     for g in c.gates:
-        tensor = _apply_gate_tensor(tensor, g, 0, False)
+        _apply_gate_tensor(tensor, g, 0, False)
     return PureState(tensor.reshape(-1))
 
 
@@ -325,8 +318,8 @@ def evolve_density(
 
     apply_events(-1, tensor)
     for i, g in enumerate(c.gates):
-        tensor = _apply_gate_tensor(tensor, g, 0, False)
-        tensor = _apply_gate_tensor(tensor, g, n, True)
+        _apply_gate_tensor(tensor, g, 0, False)
+        _apply_gate_tensor(tensor, g, n, True)
         apply_events(i, tensor)
     return DensityMatrix(tensor.reshape(2**n, 2**n))
 

@@ -41,17 +41,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(**values) -> dict:
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _apply_overrides(settings: RunSettings, args) -> RunSettings:
-    solver = settings.solver
-    noise = settings.noise
-    if args.mode is not None:
-        solver = replace(solver, rotation_mode=args.mode)
-    if args.noise is not None:
-        noise = replace(noise, enabled=args.noise == "on")
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigParseError(f"--seed {args.seed} must be non-negative")
-        noise = replace(noise, seed=args.seed)
+    noise_on = None if args.noise is None else args.noise == "on"
+    try:
+        solver = replace(settings.solver, **_given(rotation_mode=args.mode))
+        noise = replace(settings.noise, **_given(enabled=noise_on, seed=args.seed))
+    except ValueError as exc:
+        raise ConfigParseError(f"invalid override: {exc}") from exc
     if settings.tomography.noise_sigma > 0.0 and noise.seed is None:
         raise ConfigParseError("stochastic readout noise requires a seed")
     sweep = settings.sweep
@@ -64,11 +64,15 @@ def _apply_overrides(settings: RunSettings, args) -> RunSettings:
     return replace(settings, solver=solver, noise=noise)
 
 
+def _molecule(settings: RunSettings) -> nmr.MoleculeParams:
+    return settings.molecule if settings.molecule is not None else nmr.MoleculeParams()
+
+
 def _noise_builder(settings: RunSettings):
     """Schedule factory: uniform dephasing plus per-gate depolarizing errors."""
     if not settings.noise.enabled:
         return None
-    t2 = settings.molecule.t2_star_ms if settings.molecule is not None else nmr._DEFAULT_T2_STAR_MS
+    t2 = _molecule(settings).t2_star_ms
 
     def builder(c):
         t2v = t2 if len(t2) == c.n_qubits else float(min(t2))
@@ -192,8 +196,7 @@ def cmd_spectrum(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
     report = run_hhl(settings.system, settings.solver, noise_builder=_noise_builder(settings))
     if report.circuit.n_qubits != 4:
         raise ConfigParseError("spectrum export needs the 4-qubit layout (2x2 system)")
-    molecule = settings.molecule if settings.molecule is not None else nmr.MoleculeParams()
-    spectrum = nmr.synthesize_spectrum(_final_density(report), molecule)
+    spectrum = nmr.synthesize_spectrum(_final_density(report), _molecule(settings))
     _write_text(out / "spectrum.csv", _spectrum_csv(spectrum))
     # intensities are quoted relative to the pseudo-pure reference peak,
     # which is 1 for the deviation-scaled states simulated here

@@ -10,7 +10,7 @@ the register (the pi/2 carbon readout pulse is implicit in the mapping).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -47,30 +47,32 @@ _DEFAULT_T2_STAR_MS = (500.0, 500.0, 500.0, 500.0)
 class MoleculeParams:
     """Spin-system parameters of the four-qubit register.
 
-    Shifts are Hz at 303.0 K (only the carbon entry places the carbon
-    lines), T2* in milliseconds per qubit, J couplings a symmetric Hz table
-    over (C, F1, F2, F3).
+    ``carbon_shift`` is the carbon line centre (Hz) the J splittings sit
+    around, T2* is in milliseconds per qubit, J couplings a real symmetric
+    Hz table over (C, F1, F2, F3).
     """
 
-    chemical_shifts: dict = field(default_factory=lambda: dict(_SHIFT_ANCHORS))
+    carbon_shift: float = _SHIFT_ANCHORS["C"]
     t2_star_ms: tuple = _DEFAULT_T2_STAR_MS
     j_couplings: np.ndarray = None
     linewidth: float = 1.0
 
     def __post_init__(self):
-        j = _DEFAULT_J if self.j_couplings is None else np.asarray(self.j_couplings, dtype=float)
+        j = _DEFAULT_J if self.j_couplings is None else np.asarray(self.j_couplings)
         if j.shape != (4, 4) or np.max(np.abs(j - j.T)) > 0.0:
             raise DimensionMismatch("J table must be a symmetric 4x4 matrix")
         if not np.all(np.isfinite(j)):
             raise ValueError("J table entries must be finite")
+        if np.any(np.imag(j) != 0.0):
+            raise ValueError("J table entries must be real")
         t2 = tuple(float(x) for x in self.t2_star_ms)
-        if len(t2) != 4 or any(x <= 0.0 for x in t2):
-            raise ValueError("need four positive T2* values")
-        if not all(np.isfinite(float(v)) for v in self.chemical_shifts.values()):
-            raise ValueError("chemical shifts must be finite")
+        if len(t2) != 4 or not all(np.isfinite(x) and x > 0.0 for x in t2):
+            raise ValueError("need four positive, finite T2* values")
+        if not np.isfinite(self.carbon_shift):
+            raise ValueError("carbon shift must be finite")
         if not (np.isfinite(self.linewidth) and self.linewidth > 0.0):
             raise ValueError("linewidth must be positive and finite")
-        object.__setattr__(self, "j_couplings", _freeze(j))
+        object.__setattr__(self, "j_couplings", _freeze(np.real(j).astype(float)))
         object.__setattr__(self, "t2_star_ms", t2)
 
 
@@ -140,7 +142,7 @@ def lorentzian(freqs, center: float, intensity: float, width: float) -> np.ndarr
 
 def carbon_peak_positions(params: MoleculeParams) -> np.ndarray:
     """Center frequency of carbon line j (j indexes the fluorine bits q2 q3 q4)."""
-    base = params.chemical_shifts["C"]
+    base = params.carbon_shift
     j_row = params.j_couplings[0, 1:]
     centers = np.empty(8)
     for j in range(8):

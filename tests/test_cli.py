@@ -108,6 +108,7 @@ class TestSolveCommand:
             ("tomography", "[noise]\nseed = -1\n[tomography]\nnoise_sigma = 0.01", ()),
             ("tomography", "[tomography]\nnoise_sigma = 0.01", ("--seed", "-1")),
             ("spectrum", "[molecule]\nj_couplings = 0 nan 0 0 ; nan 0 0 0 ; 0 0 0 0 ; 0 0 0 0", ()),
+            ("spectrum", "[molecule]\nj_couplings = 0 128j 48 -12 ; 128j 0 69 47 ; 48 69 0 -128 ; -12 47 -128 0", ()),
             ("tomography", "[noise]\nseed = 1\n[tomography]\nnoise_sigma = -0.01", ()),
             ("solve", "t0 = 20", ()),
             ("solve", "clock_qubits = 1", ()),
@@ -117,7 +118,7 @@ class TestSolveCommand:
         ],
         ids=[
             "c_tilde", "t0", "seed", "duration", "pulse_error", "t2_star", "sweep_values",
-            "negative_seed", "negative_seed_flag", "j_couplings_nan", "negative_noise_sigma",
+            "negative_seed", "negative_seed_flag", "j_couplings_nan", "j_couplings_complex", "negative_noise_sigma",
             "t0_not_encodable", "clock_too_narrow", "c_tilde_above_lambda_min",
             "sweep_t0_zero", "sweep_t0_not_encodable",
         ],

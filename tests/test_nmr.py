@@ -230,11 +230,12 @@ class TestMoleculeParams:
         "build",
         [
             lambda: nmr.MoleculeParams(linewidth=np.nan),
-            lambda: nmr.MoleculeParams(chemical_shifts={"C": np.inf, "F1": 0.0, "F2": 0.0, "F3": 0.0}),
+            lambda: nmr.MoleculeParams(carbon_shift=np.inf),
+            lambda: nmr.MoleculeParams(t2_star_ms=(np.nan, 1.0, 1.0, 1.0)),
             lambda: nmr.Peak(0.0, 1.0, np.nan),
             lambda: nmr.Peak(np.nan, 1.0, 1.0),
         ],
-        ids=["linewidth", "chemical_shifts", "peak_width", "peak_center"],
+        ids=["linewidth", "chemical_shifts", "t2_star", "peak_width", "peak_center"],
     )
     def test_rejects_non_finite_values(self, build):
         with pytest.raises(ValueError):
