@@ -126,7 +126,7 @@ def cmd_sweep(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
     if settings.sweep is None:
         raise ConfigParseError("sweep command needs a [sweep] section")
     sweep = sweep_r if settings.sweep.parameter == "r" else sweep_t0
-    rows = sweep(settings.system, settings.sweep.values, settings.solver)
+    rows = sweep(settings.system, settings.sweep.values, settings.solver, noise_builder=_noise_builder(settings))
     lines = ["parameter,value,max_rel_error,success_probability"]
     lines.extend(
         f"{row.parameter},{row.value!r},{row.max_rel_error!r},{row.success_probability!r}" for row in rows

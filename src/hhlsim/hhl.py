@@ -469,22 +469,26 @@ class SweepRow:
     success_probability: float
 
 
-def _sweep(sys: LinearSystem, parameter: str, values, cfg: SolverConfig) -> list[SweepRow]:
+def _sweep(sys: LinearSystem, parameter: str, values, cfg: SolverConfig, noise_builder) -> list[SweepRow]:
     rows = []
     for value in values:
-        report = run_hhl(sys, replace(cfg, **{parameter: value}))
+        report = run_hhl(sys, replace(cfg, **{parameter: value}), noise_builder=noise_builder)
         rows.append(SweepRow(parameter, float(value), report.max_rel_error, report.success_probability))
     return rows
 
 
-def sweep_r(sys: LinearSystem, r_values: Sequence[int], cfg: SolverConfig = SolverConfig()) -> list[SweepRow]:
-    """One pipeline run per rotation parameter r, the rest of ``cfg`` fixed."""
-    return _sweep(sys, "r", r_values, cfg)
+def sweep_r(
+    sys: LinearSystem, r_values: Sequence[int], cfg: SolverConfig = SolverConfig(), *, noise_builder=None
+) -> list[SweepRow]:
+    """One pipeline run per rotation parameter r, the rest of ``cfg`` and ``noise_builder`` (see run_hhl) fixed."""
+    return _sweep(sys, "r", r_values, cfg, noise_builder)
 
 
-def sweep_t0(sys: LinearSystem, t0_values: Sequence[float], cfg: SolverConfig = SolverConfig()) -> list[SweepRow]:
-    """One pipeline run per evolution time scale t0 (approximate encodings allowed)."""
-    return _sweep(sys, "t0", t0_values, cfg)
+def sweep_t0(
+    sys: LinearSystem, t0_values: Sequence[float], cfg: SolverConfig = SolverConfig(), *, noise_builder=None
+) -> list[SweepRow]:
+    """One pipeline run per evolution time scale t0 (approximate encodings allowed), as in sweep_r."""
+    return _sweep(sys, "t0", t0_values, cfg, noise_builder)
 
 
 def theta_for_target_ratio(sys: LinearSystem, ratio_sq: float) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DimensionMismatch, FitDiverged, OutOfCalibrationRange
 from .qcore import DensityMatrix, _freeze
@@ -238,6 +237,9 @@ def lorentzian_fit(samples, n_peaks: int, *, initial) -> list[FittedPeak]:
         raise ValueError("initial values must be finite")
     if np.any(x0[2::3] <= 0.0):
         raise ValueError("initial widths must be positive")
+    # imported on first use: at module level it was most of `import hhlsim`'s time
+    from scipy.optimize import least_squares
+
     result = least_squares(
         _fit_residuals,
         x0,

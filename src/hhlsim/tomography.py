@@ -138,14 +138,16 @@ class MeasurementRecord:
         object.__setattr__(self, "peak_amplitudes", _freeze(peaks))
 
 
-def fit_grid(molecule: nmr.MoleculeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The per-molecule constants of a fitted readout.
+def fit_grid(molecule: nmr.MoleculeParams) -> np.ndarray:
+    """The (4096, 8) unit-intensity line shapes of a fitted readout.
 
-    Returns the carbon line centres, the 4096-point frequency grid spanning
-    them with 20 linewidths to spare, the index of the grid sample nearest
-    each centre and the (4096, 8) unit-intensity line shapes.  Raises
-    UnresolvedLines when two centres lie closer than one grid step: the fit
-    could not tell those lines apart.
+    Column j is carbon line j at the molecule's centre and width, sampled on
+    a 4096-point grid spanning the centres with 20 linewidths to spare.  A
+    fitted readout recovers the line intensities by least squares against
+    these columns, so they must be linearly independent.  Raises
+    UnresolvedLines when two centres lie closer than one grid step: their
+    columns would be nearly equal, the matrix rank-deficient and the two
+    intensities undetermined.
     """
     centers = nmr.carbon_peak_positions(molecule)
     width = molecule.linewidth
@@ -154,26 +156,21 @@ def fit_grid(molecule: nmr.MoleculeParams) -> tuple[np.ndarray, np.ndarray, np.n
     step = freqs[1] - freqs[0]
     if gap < step:
         raise UnresolvedLines(f"two carbon lines lie {gap:.3g} Hz apart, within the fit's {step:.3g} Hz grid step")
-    at_centers = np.argmin(np.abs(freqs[:, None] - centers), axis=0)
-    return centers, freqs, at_centers, nmr.lorentzian(freqs[:, None], centers, 1.0, width)
+    return nmr.lorentzian(freqs[:, None], centers, 1.0, width)
 
 
-def _fit_peak_values(values: np.ndarray, grid, width: float) -> np.ndarray:
-    """Round-trip real peak values through a rendered spectrum and a Lorentzian fit.
+def _fit_lines(lines: np.ndarray, shapes: np.ndarray) -> np.ndarray:
+    """Round-trip (n, 8) complex line amplitudes through rendered spectra.
 
-    The fit starts from the intensities that match the spectrum at the grid
-    samples nearest the line centres; an all-zero set comes back unfitted.
+    The real and imaginary line sets of all n records are rendered as
+    ``shapes @ V`` and their intensities recovered by one least-squares
+    solve.  An all-zero set comes back as +0.0, never -0.0, so a fitted
+    ``records.json`` prints no negative zeros.
     """
-    if not np.any(values):
-        return np.zeros(8)
-    centers, freqs, at_centers, shapes = grid
-    signal = shapes @ values
-    initial = np.empty(24)
-    initial[0::3] = centers
-    initial[1::3] = np.linalg.solve(shapes[at_centers], signal[at_centers])
-    initial[2::3] = width
-    fitted = nmr.lorentzian_fit(np.column_stack([freqs, signal]), 8, initial=initial)
-    return np.array([p.intensity for p in fitted])
+    n = len(lines)
+    values = np.concatenate([lines.real, lines.imag]).T
+    fitted = np.linalg.lstsq(shapes, shapes @ values, rcond=None)[0].T + 0.0
+    return fitted[:n] + 1j * fitted[n:]
 
 
 def simulate_readout(
@@ -189,9 +186,11 @@ def simulate_readout(
 
     ``noise_sigma`` adds seeded Gaussian noise to the peak amplitudes (the
     physically detected quantities; populations stay exact diagnostics).
-    ``fit_via_spectrum`` renders each record's line amplitudes as
-    Lorentzian spectra and recovers them with nmr.lorentzian_fit,
-    exercising the full measurement chain.
+    ``fit_via_spectrum`` renders every record's line amplitudes as carbon
+    spectra at the molecule's line centres and width (default
+    ``nmr.MoleculeParams()``) and fits the line intensities back by least
+    squares, exercising the measurement chain; see ``fit_grid`` for why
+    the lines must be resolved.
     """
     if rho.n_qubits != _N_QUBITS:
         raise DimensionMismatch("readout simulation expects a 4-qubit state")
@@ -199,21 +198,20 @@ def simulate_readout(
         raise ValueError(f"noise_sigma {noise_sigma} must be non-negative")
     if noise_sigma > 0.0 and rng is None:
         raise ValueError("noisy readout needs an explicit seeded generator")
-    if fit_via_spectrum:
-        if molecule is None:
-            molecule = nmr.MoleculeParams()
-        grid, width = fit_grid(molecule), molecule.linewidth
-    records = []
+    names, pops, lines = [], [], []
     for pulse in pulses:
         u = pulse.operator
         rho_p = u @ rho.matrix @ u.conj().T
-        pops = np.real(np.diag(rho_p)).copy()
-        peaks = 2.0 * np.diagonal(rho_p, 8)
-        if fit_via_spectrum:
-            peaks = _fit_peak_values(peaks.real, grid, width) + 1j * _fit_peak_values(peaks.imag, grid, width)
+        names.append(pulse.name)
+        pops.append(np.real(np.diag(rho_p)).copy())
+        lines.append(2.0 * np.diagonal(rho_p, 8))
+    if fit_via_spectrum:
+        lines = _fit_lines(np.array(lines), fit_grid(molecule if molecule is not None else nmr.MoleculeParams()))
+    records = []
+    for name, p, peaks in zip(names, pops, lines):
         if noise_sigma > 0.0:
             peaks = peaks + rng.normal(0.0, noise_sigma, 8) + 1j * rng.normal(0.0, noise_sigma, 8)
-        records.append(MeasurementRecord(pulse=pulse.name, populations=pops, peak_amplitudes=peaks))
+        records.append(MeasurementRecord(pulse=name, populations=p, peak_amplitudes=peaks))
     return records
 
 

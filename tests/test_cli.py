@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hhlsim import cli, qcore
+from hhlsim import cli, hhl, qcore
+from hhlsim.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -287,6 +289,25 @@ class TestSweepCommand:
         solve = read_json(out / "solve" / "solve_report.json")
         assert float(sweep_row[2]) == pytest.approx(solve["max_rel_error"], abs=1e-15)
         assert float(sweep_row[3]) == pytest.approx(solve["success_probability"], abs=1e-15)
+
+    def test_noise_switch_reaches_every_point(self, tmp_path):
+        config = CONFIG_DIR / "experiment1.ini"
+        for noise in ("on", "off"):
+            assert run_cli(["sweep", "--config", config, "--noise", noise, "--out", tmp_path / noise]) == 0
+        assert run_cli(["solve", "--config", config, "--noise", "on", "--out", tmp_path / "solve"]) == 0
+        noisy = (tmp_path / "on" / "sweep.csv").read_bytes()
+        noiseless = (tmp_path / "off" / "sweep.csv").read_bytes()
+        assert noisy != noiseless
+        settings = load_config(config)
+        expected = ["parameter,value,max_rel_error,success_probability"]
+        for r in settings.sweep.values:
+            report = hhl.run_hhl(settings.system, replace(settings.solver, r=r))
+            expected.append(f"r,{float(r)!r},{report.max_rel_error!r},{report.success_probability!r}")
+        assert noiseless == ("\n".join(expected) + "\n").encode()
+        noisy_r2 = noisy.decode().splitlines()[2].split(",")
+        solve = read_json(tmp_path / "solve" / "solve_report.json")
+        assert float(noisy_r2[2]) == solve["max_rel_error"]
+        assert float(noisy_r2[3]) == solve["success_probability"]
 
     def test_missing_sweep_section(self, tmp_path, capsys):
         config = tmp_path / "run.ini"

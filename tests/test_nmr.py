@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -240,3 +245,13 @@ class TestMoleculeParams:
     def test_rejects_non_finite_values(self, build):
         with pytest.raises(ValueError):
             build()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # lorentzian_fit imports it on first use; at module level it was most of the import time
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, hhlsim; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
