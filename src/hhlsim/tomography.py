@@ -138,38 +138,64 @@ class MeasurementRecord:
         object.__setattr__(self, "peak_amplitudes", _freeze(peaks))
 
 
+_MAX_CONDITION = 1e-9 / np.finfo(float).eps  # see fit_grid
+
+
 def fit_grid(molecule: nmr.MoleculeParams) -> np.ndarray:
-    """The (4096, 8) unit-intensity line shapes of a fitted readout.
+    """The (4096, 8) unit-intensity line shapes of a fitted readout (read-only).
 
     Column j is carbon line j at the molecule's centre and width, sampled on
     a 4096-point grid spanning the centres with 20 linewidths to spare.  A
-    fitted readout recovers the line intensities by least squares against
-    these columns, so they must be linearly independent.  Raises
-    UnresolvedLines when two centres lie closer than one grid step: their
-    columns would be nearly equal, the matrix rank-deficient and the two
-    intensities undetermined.
+    fitted readout recovers the line intensities through the pseudo-inverse
+    of these columns, so they must be well conditioned.  Raises
+    UnresolvedLines when two centres lie closer than one grid step (their
+    columns would be nearly equal and the two intensities undetermined), or
+    when their condition number kappa exceeds ``_MAX_CONDITION``.  The
+    pseudo-inverse product moves a fitted line by at most about
+    kappa * eps * max|V| (eps the unit roundoff), and |V| <= 1 since
+    2|rho[i, i+8]| <= p_i + p_(i+8); so kappa <= 1e-9 / eps, about 4.5e6,
+    keeps every fitted line within the 1e-9 readout bound.  The default
+    table has kappa 1.01 and 300 Hz lines 3.2e4.  Shapes and
+    pseudo-inverse are factored once per line table (centres and width) and
+    cached.
     """
-    centers = nmr.carbon_peak_positions(molecule)
-    width = molecule.linewidth
+    return _line_table(molecule)[0]
+
+
+def _line_table(molecule: nmr.MoleculeParams) -> tuple[np.ndarray, np.ndarray]:
+    return _factor_lines(tuple(nmr.carbon_peak_positions(molecule).tolist()), float(molecule.linewidth))
+
+
+@lru_cache(maxsize=8)
+def _factor_lines(centers: tuple[float, ...], width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unit line shapes and their SVD pseudo-inverse for one line table, both read-only."""
+    centers = np.array(centers)
     freqs = np.linspace(centers.min() - 20.0 * width, centers.max() + 20.0 * width, 4096)
     gap = np.min(np.diff(np.sort(centers)))
     step = freqs[1] - freqs[0]
     if gap < step:
         raise UnresolvedLines(f"two carbon lines lie {gap:.3g} Hz apart, within the fit's {step:.3g} Hz grid step")
-    return nmr.lorentzian(freqs[:, None], centers, 1.0, width)
+    shapes = nmr.lorentzian(freqs[:, None], centers, 1.0, width)
+    u, s, vt = np.linalg.svd(shapes, full_matrices=False)
+    if s[0] > _MAX_CONDITION * s[-1]:
+        raise UnresolvedLines(
+            f"carbon line shapes have condition number {s[0] / s[-1]:.3g}, above the fit's {_MAX_CONDITION:.3g}"
+        )
+    return _freeze(shapes), _freeze((vt.T / s) @ u.T)
 
 
-def _fit_lines(lines: np.ndarray, shapes: np.ndarray) -> np.ndarray:
+def _fit_lines(lines: np.ndarray, molecule: nmr.MoleculeParams) -> np.ndarray:
     """Round-trip (n, 8) complex line amplitudes through rendered spectra.
 
     The real and imaginary line sets of all n records are rendered as
-    ``shapes @ V`` and their intensities recovered by one least-squares
-    solve.  An all-zero set comes back as +0.0, never -0.0, so a fitted
-    ``records.json`` prints no negative zeros.
+    ``shapes @ V`` and their intensities recovered by one product with the
+    line table's cached pseudo-inverse (``fit_grid``).  An all-zero set
+    comes back as +0.0, never -0.0, so a fitted ``records.json`` prints no
+    negative zeros.
     """
+    shapes, pinv = _line_table(molecule)
     n = len(lines)
-    values = np.concatenate([lines.real, lines.imag]).T
-    fitted = np.linalg.lstsq(shapes, shapes @ values, rcond=None)[0].T + 0.0
+    fitted = (pinv @ (shapes @ np.concatenate([lines.real, lines.imag]).T)).T + 0.0
     return fitted[:n] + 1j * fitted[n:]
 
 
@@ -182,15 +208,16 @@ def simulate_readout(
     fit_via_spectrum: bool = False,
     molecule: nmr.MoleculeParams | None = None,
 ) -> list[MeasurementRecord]:
-    """Apply each pulse and collect its record.
+    """Apply every pulse as one batched ``u @ rho @ u^dagger`` and collect the records.
 
     ``noise_sigma`` adds seeded Gaussian noise to the peak amplitudes (the
-    physically detected quantities; populations stay exact diagnostics).
-    ``fit_via_spectrum`` renders every record's line amplitudes as carbon
-    spectra at the molecule's line centres and width (default
-    ``nmr.MoleculeParams()``) and fits the line intensities back by least
-    squares, exercising the measurement chain; see ``fit_grid`` for why
-    the lines must be resolved.
+    physically detected quantities; populations stay exact diagnostics),
+    drawn per pulse in the order given.  ``fit_via_spectrum`` renders every
+    record's line amplitudes as carbon spectra at the molecule's line
+    centres and width (default ``nmr.MoleculeParams()``) and fits the line
+    intensities back with the line table's cached pseudo-inverse,
+    exercising the measurement chain; see ``fit_grid`` for which line
+    tables it accepts.
     """
     if rho.n_qubits != _N_QUBITS:
         raise DimensionMismatch("readout simulation expects a 4-qubit state")
@@ -198,20 +225,18 @@ def simulate_readout(
         raise ValueError(f"noise_sigma {noise_sigma} must be non-negative")
     if noise_sigma > 0.0 and rng is None:
         raise ValueError("noisy readout needs an explicit seeded generator")
-    names, pops, lines = [], [], []
-    for pulse in pulses:
-        u = pulse.operator
-        rho_p = u @ rho.matrix @ u.conj().T
-        names.append(pulse.name)
-        pops.append(np.real(np.diag(rho_p)).copy())
-        lines.append(2.0 * np.diagonal(rho_p, 8))
+    pulses = tuple(pulses)
+    ops = np.array([p.operator for p in pulses], dtype=complex).reshape(-1, _DIM, _DIM)
+    rho_p = ops @ rho.matrix @ ops.conj().transpose(0, 2, 1)
+    pops = np.real(np.diagonal(rho_p, axis1=1, axis2=2))
+    lines = 2.0 * np.diagonal(rho_p, 8, axis1=1, axis2=2)
     if fit_via_spectrum:
-        lines = _fit_lines(np.array(lines), fit_grid(molecule if molecule is not None else nmr.MoleculeParams()))
+        lines = _fit_lines(lines, molecule if molecule is not None else nmr.MoleculeParams())
     records = []
-    for name, p, peaks in zip(names, pops, lines):
+    for pulse, p, peaks in zip(pulses, pops, lines):
         if noise_sigma > 0.0:
             peaks = peaks + rng.normal(0.0, noise_sigma, 8) + 1j * rng.normal(0.0, noise_sigma, 8)
-        records.append(MeasurementRecord(pulse=name, populations=p, peak_amplitudes=peaks))
+        records.append(MeasurementRecord(pulse=pulse.name, populations=p, peak_amplitudes=peaks))
     return records
 
 

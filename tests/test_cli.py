@@ -381,6 +381,19 @@ class TestTomographyCommand:
             assert err["error"]["type"] == "ConfigParseError"
             assert "fit_peaks" in err["error"]["message"]
 
+    def test_fit_needs_well_conditioned_lines(self, tmp_path, capsys):
+        # lines 0.08 Hz apart at 8 Hz: each gap exceeds the grid step, but the
+        # line shapes have condition number 1.6e11
+        config = tmp_path / "run.ini"
+        config.write_text(
+            BASIC_CONFIG + "[molecule]\nj_couplings = 0 0.32 0.16 0.08 ; 0.32 0 0 0 ; 0.16 0 0 0 ; 0.08 0 0 0\n"
+            "linewidth = 8\n[tomography]\nfit_peaks = on\n"
+        )
+        assert run_cli(["tomography", "--config", config, "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigParseError"
+        assert "condition number" in err["error"]["message"]
+
     def test_stochastic_readout_requires_seed(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
         config.write_text(BASIC_CONFIG + "\n[tomography]\nkind = full\nnoise_sigma = 0.01\n")

@@ -96,6 +96,29 @@ class TestSimulateReadout:
         for i in range(8):
             assert np.real(rec.peak_amplitudes[i]) == pytest.approx(pops[i] - pops[i + 8], abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["full", "partial"])
+    def test_batched_pulses_match_per_pulse_products(self, kind):
+        rng = np.random.default_rng(20)
+        for _ in range(3):
+            rho = random_mixed_density(rng)
+            records = tomo.simulate_readout(rho, tomo.pulse_catalog(kind))
+            for pulse, rec in zip(tomo.pulse_catalog(kind), records):
+                u = pulse.operator
+                rho_p = u @ rho.matrix @ u.conj().T
+                assert rec.pulse == pulse.name
+                assert np.max(np.abs(rec.populations - np.real(np.diag(rho_p)))) <= 1e-15
+                assert np.max(np.abs(rec.peak_amplitudes - 2.0 * np.diagonal(rho_p, 8))) <= 1e-15
+
+    def test_readout_noise_is_drawn_per_pulse_in_order(self):
+        rho = random_pure_density(np.random.default_rng(21))
+        pulses = tomo.pulse_catalog("full")
+        noisy = tomo.simulate_readout(rho, pulses, noise_sigma=0.01, rng=np.random.default_rng(22))
+        rng = np.random.default_rng(22)
+        for rec, exact in zip(noisy, tomo.simulate_readout(rho, pulses)):
+            expected = exact.peak_amplitudes + rng.normal(0.0, 0.01, 8) + 1j * rng.normal(0.0, 0.01, 8)
+            assert rec.peak_amplitudes.tobytes() == expected.tobytes()
+            assert rec.populations.tobytes() == exact.populations.tobytes()
+
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             tomo.simulate_readout(basis_state(4, 0).density(), tomo.pulse_catalog("partial"), noise_sigma=-0.01)
@@ -196,23 +219,78 @@ class TestReconstruction:
     def test_all_zero_line_set_is_not_fitted(self):
         lines = np.full((2, 8), complex(-0.0, -0.0))
         lines[1].imag = np.linspace(-1.0, 1.0, 8)
-        values = tomo._fit_lines(lines, tomo.fit_grid(nmr.MoleculeParams()))
+        values = tomo._fit_lines(lines, nmr.MoleculeParams())
         assert values[0].tobytes() == np.zeros(8, dtype=complex).tobytes()
         assert values[1].real.tobytes() == np.zeros(8).tobytes()
 
-    def test_full_readout_fits_all_line_sets_in_one_solve(self, monkeypatch):
+    def test_each_line_table_is_factored_once(self, monkeypatch):
         calls = []
-        solve = np.linalg.lstsq
 
-        def spy(a, b, **kwargs):
-            calls.append(np.shape(b))
-            return solve(a, b, **kwargs)
+        def spy(name):
+            routine = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return routine(*args, **kwargs)
+
+            return counted
+
+        for name in ("lstsq", "svd", "pinv"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
         monkeypatch.setattr(nmr, "lorentzian_fit", lambda *args, **kwargs: pytest.fail("ran the nonlinear fit"))
+        tomo._factor_lines.cache_clear()
         rho = ideal_final_state([1.0, 0.0], mode="exact").density()
         tomo.simulate_readout(rho, tomo.pulse_catalog("full"), fit_via_spectrum=True)
-        assert calls == [(4096, 88)]
+        assert calls == ["svd"]
+        tomo.simulate_readout(rho, tomo.pulse_catalog("partial"), fit_via_spectrum=True, molecule=nmr.MoleculeParams())
+        assert calls == ["svd"]
+        broad = nmr.MoleculeParams(linewidth=2.0)
+        tomo.simulate_readout(rho, tomo.pulse_catalog("partial"), fit_via_spectrum=True, molecule=broad)
+        assert calls == ["svd", "svd"]
+
+    def test_cached_line_table_is_read_only(self):
+        for table in tomo._line_table(nmr.MoleculeParams()):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    def test_fit_grid_samples_unit_lines(self):
+        molecule = nmr.MoleculeParams(linewidth=3.0)
+        centers = nmr.carbon_peak_positions(molecule)
+        freqs = np.linspace(centers.min() - 60.0, centers.max() + 60.0, 4096)
+        assert np.array_equal(tomo.fit_grid(molecule), nmr.lorentzian(freqs[:, None], centers, 1.0, 3.0))
+
+    def test_line_table_cache_is_bounded(self):
+        rho = ideal_final_state([1.0, 0.0], mode="exact").density()
+        for k in range(50):
+            molecule = nmr.MoleculeParams(linewidth=1.0 + 0.01 * k)
+            tomo.simulate_readout(rho, tomo.pulse_catalog("partial"), fit_via_spectrum=True, molecule=molecule)
+        info = tomo._factor_lines.cache_info()
+        assert info.currsize <= info.maxsize == 8
+
+    @pytest.mark.parametrize(
+        "c_f, linewidth, condition", [((128.0, 48.0, -12.0), 300.0, 3.2e4), ((2.0, 1.0, 0.5), 8.0, 4.8e5)]
+    )
+    def test_fit_admits_conditioned_broad_lines(self, c_f, linewidth, condition):
+        j = np.array(nmr._DEFAULT_J)
+        j[0, 1:] = j[1:, 0] = c_f
+        molecule = nmr.MoleculeParams(j_couplings=j, linewidth=linewidth)
+        s = np.linalg.svd(tomo.fit_grid(molecule), compute_uv=False)
+        assert s[0] / s[-1] == pytest.approx(condition, rel=0.02)
+        rho = random_pure_density(np.random.default_rng(8))
+        exact = tomo.simulate_readout(rho, tomo.pulse_catalog("partial"))
+        fitted = tomo.simulate_readout(rho, tomo.pulse_catalog("partial"), fit_via_spectrum=True, molecule=molecule)
+        for a, b in zip(exact, fitted):
+            assert np.max(np.abs(a.peak_amplitudes - b.peak_amplitudes)) < 1e-9
+
+    def test_fit_rejects_ill_conditioned_lines(self):
+        # eight lines 0.08 Hz apart at 8 Hz: each gap exceeds the 0.078 Hz grid
+        # step, but the shapes' condition number is 1.6e11 and the fit erred by 9e-8
+        j = np.array(nmr._DEFAULT_J)
+        j[0, 1:] = j[1:, 0] = (0.32, 0.16, 0.08)
+        molecule = nmr.MoleculeParams(j_couplings=j, linewidth=8.0)
+        rho = random_pure_density(np.random.default_rng(9))
+        with pytest.raises(UnresolvedLines, match="condition number"):
+            tomo.simulate_readout(rho, tomo.pulse_catalog("partial"), fit_via_spectrum=True, molecule=molecule)
 
     def test_fit_keeps_each_line_on_its_own_peak(self):
         # lines 1 Hz apart: a zero-intensity peak's centre drifts under the
