@@ -8,7 +8,7 @@ MultiplexedRy, a rotation whose angle the clock label selects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -88,6 +88,17 @@ class MultiplexedRy:
 Gate = Union[Hadamard, ControlledUnitary, MultiplexedRy]
 
 
+def _derived_gate(cls, *values) -> Gate:
+    """``cls(*values)`` for values derived from checked ones, such as a checked
+    system's spectrum or another gate: no check runs (no require_unitary), and
+    arrays are frozen as the constructor freezes them.  Callers pass int tuples,
+    float angle arrays and complex128 matrices."""
+    g = object.__new__(cls)
+    for f, v in zip(fields(cls), values):
+        object.__setattr__(g, f.name, qcore._freeze(v) if isinstance(v, np.ndarray) else v)
+    return g
+
+
 def gate_qubits(g: Gate) -> tuple[int, ...]:
     if isinstance(g, Hadamard):
         return (g.qubit,)
@@ -109,8 +120,8 @@ def gate_inverse(g: Gate) -> Gate:
     if isinstance(g, Hadamard):
         return g
     if isinstance(g, MultiplexedRy):
-        return MultiplexedRy(g.selectors, g.target, -g.angles)
-    return ControlledUnitary(g.controls, g.targets, g.matrix.conj().T)
+        return _derived_gate(MultiplexedRy, g.selectors, g.target, -g.angles)
+    return _derived_gate(ControlledUnitary, g.controls, g.targets, g.matrix.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,14 +199,19 @@ def qft(t: int) -> Circuit:
     """
     if t < 1:
         raise DimensionMismatch("QFT needs at least one qubit")
+    return Circuit(t, _qft_gates(t))
+
+
+def _qft_gates(t: int) -> list[Gate]:
+    """The gates of qft(t), for a caller that places them in its own circuit."""
     gates: list[Gate] = []
     for i in range(t):
         gates.append(Hadamard(i))
         for j in range(i + 1, t):
             phi = 2.0 * np.pi / 2 ** (j - i + 1)
             phase = np.array([[1.0, 0.0], [0.0, np.exp(1j * phi)]], dtype=complex)
-            gates.append(ControlledUnitary(((j, 1),), (i,), phase))
-    return Circuit(t, tuple(gates))
+            gates.append(_derived_gate(ControlledUnitary, ((j, 1),), (i,), phase))
+    return gates
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +337,7 @@ def evolve_density(
         _apply_gate_tensor(tensor, g, 0, False)
         _apply_gate_tensor(tensor, g, n, True)
         apply_events(i, tensor)
-    return DensityMatrix(tensor.reshape(2**n, 2**n))
+    return qcore._derived_density(tensor.reshape(2**n, 2**n))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +368,7 @@ def _measure_density(rho: DensityMatrix, q: int, outcome: int) -> tuple[float, D
     prob = float(np.real(np.trace(m)))
     if prob < 1e-14:
         raise ZeroProbabilityBranch(f"outcome {outcome} on qubit {q} has probability {prob:.3e}")
-    return prob, DensityMatrix(m / prob)
+    return prob, qcore._derived_density(m / prob)
 
 
 def measure_qubit(state, q: int, outcome: int):

@@ -163,7 +163,9 @@ def conditional_evolution(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
     t = cfg.clock_qubits
     targets = tuple(range(t, t + sys.n_solution_qubits))
     return [
-        ControlledUnitary(((q, 1),), targets, qcore.matrix_exp_hermitian(sys.spectrum, cfg.t0 / 2 ** (q + 1)))
+        qcirc._derived_gate(
+            ControlledUnitary, ((q, 1),), targets, qcore.matrix_exp_hermitian(sys.spectrum, cfg.t0 / 2 ** (q + 1))
+        )
         for q in range(t)
     ]
 
@@ -175,7 +177,7 @@ def _qpe_gates(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
     least significant bit first, as MultiplexedRy reads its selectors.
     """
     t = cfg.clock_qubits
-    return [Hadamard(q) for q in range(t)] + conditional_evolution(sys, cfg) + list(qcirc.qft(t).gates)
+    return [Hadamard(q) for q in range(t)] + conditional_evolution(sys, cfg) + qcirc._qft_gates(t)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +219,8 @@ def eigenvalue_inversion_gates(cfg: SolverConfig, n_solution_qubits: int = 1) ->
     t = cfg.clock_qubits
     # read MSB first, qubit q has place value m = 2^(t-1-q): the eigenvalue encoded as 2/m
     theta, _, _ = _inversion_rotation(cfg, 2.0 * TWO_PI / (cfg.t0 * 2.0 ** (t - 1 - np.arange(t))))
-    return [ControlledUnitary(((q, 1),), (t + n_solution_qubits,), qcore.rotation_y(theta[q])) for q in range(t)]
+    ancilla = (t + n_solution_qubits,)
+    return [qcirc._derived_gate(ControlledUnitary, ((q, 1),), ancilla, qcore.rotation_y(theta[q])) for q in range(t)]
 
 
 def _general_inversion_gates(cfg: SolverConfig, n_solution_qubits: int) -> list[Gate]:
@@ -230,7 +233,7 @@ def _general_inversion_gates(cfg: SolverConfig, n_solution_qubits: int) -> list[
     t = cfg.clock_qubits
     theta, sin_half, _ = _inversion_rotation(cfg, TWO_PI * np.arange(1, 2**t) / cfg.t0)
     angles = np.concatenate(([0.0], np.where(sin_half > 1.0 + ENCODING_ATOL, 0.0, theta)))
-    return [MultiplexedRy(tuple(range(t)), t + n_solution_qubits, angles)]
+    return [qcirc._derived_gate(MultiplexedRy, tuple(range(t)), t + n_solution_qubits, angles)]
 
 
 def per_bit_path_available(sys: LinearSystem, cfg: SolverConfig) -> bool:
@@ -277,7 +280,7 @@ def build_circuit(sys: LinearSystem, cfg: SolverConfig) -> Circuit:
         inversion = eigenvalue_inversion_gates(cfg, nb)
     else:
         inversion = _general_inversion_gates(cfg, nb)
-    gates = qpe + inversion + list(Circuit(n, qpe).inverse().gates)
+    gates = qpe + inversion + [qcirc.gate_inverse(g) for g in reversed(qpe)]
     registers = {
         "clock": tuple(range(t)),
         "b": tuple(range(t, t + nb)),
@@ -390,6 +393,11 @@ def _dominant_vector(rho: DensityMatrix) -> np.ndarray:
     return np.linalg.eigh(rho.matrix)[1][:, -1]
 
 
+def _require_post_selection(prob: float) -> None:
+    if prob <= 1e-12:
+        raise ZeroProbabilityBranch(f"post-selection probability {prob:.3e} below 1e-12")
+
+
 def run_hhl(
     sys: LinearSystem,
     cfg: SolverConfig,
@@ -411,8 +419,6 @@ def run_hhl(
     cfg = resolve_config(sys, cfg)
     c = build_circuit(sys, cfg)
     t, nb = cfg.clock_qubits, sys.n_solution_qubits
-    n = c.n_qubits
-    ancilla = n - 1
     initial = basis_state(t, 0).tensor(PureState(sys.b)).tensor(basis_state(1, 0))
     theory = _ideal_final_state(sys, cfg)
 
@@ -420,10 +426,13 @@ def run_hhl(
         final = qcirc.run_circuit(initial, c)
         clock_mass = final.probabilities().reshape(2**t, -1).sum(axis=1)
         clock_residual = float(1.0 - clock_mass[0])
-        prob, post = qcirc.measure_qubit(final, ancilla, 1)
+        # the ancilla = 1 branch, renormalized as measure_qubit renormalizes it
+        branch = final.amplitudes.reshape(2**t, 2**nb, 2)[:, :, 1]
+        prob = float(np.sum(np.abs(branch) ** 2))
+        _require_post_selection(prob)
+        m = branch / np.sqrt(prob)
         # rows of m are the clock values, so tracing out the clock is m^T conj(m)
-        m = post.amplitudes.reshape(2**t, 2**nb, 2)[:, :, 1]
-        rho_b = DensityMatrix(m.T @ m.conj())
+        rho_b = qcore._derived_density(m.T @ m.conj())
         # qcore.fidelity of the two pure densities, |<a|f>|^2 / (<a|a> <f|f>) clamped to 1
         a, f = theory.amplitudes, final.amplitudes
         fid = min(abs(np.vdot(a, f)) ** 2 / (np.vdot(a, a).real * np.vdot(f, f).real), 1.0)
@@ -432,14 +441,12 @@ def run_hhl(
         rho_final = qcirc.evolve_density(initial.density(), c, noise_builder(c))
         clock_mass = rho_final.populations().reshape(2**t, -1).sum(axis=1)
         clock_residual = float(1.0 - clock_mass[0])
-        prob, post_rho = qcirc.measure_qubit(rho_final, ancilla, 1)
+        prob, post_rho = qcirc.measure_qubit(rho_final, c.n_qubits - 1, 1)
+        _require_post_selection(prob)
         rho_b = qcore.partial_trace(post_rho, range(t, t + nb))
         fid = qcore.fidelity(theory.density(), rho_final)
         final = None
         final_density = rho_final
-
-    if prob <= 1e-12:
-        raise ZeroProbabilityBranch(f"post-selection probability {prob:.3e} below 1e-12")
 
     x_quantum = canonical_phase(_dominant_vector(rho_b))
     x_classical = reference.direct_solve(sys.a, sys.b)

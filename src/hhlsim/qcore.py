@@ -9,6 +9,11 @@ Conventions used throughout the package:
 * All matrices and state vectors are complex128 numpy arrays.  Values are
   immutable after construction; arrays held by the dataclasses below are
   marked read-only.
+* Inputs are checked where they enter the program.  Values the engines
+  derive from checked values are trusted by construction: a gate built
+  from a checked spectrum, or the density a CPTP engine makes of a checked
+  state, runs no O(d^3) unitarity or eigenvalue check (see
+  circuit._derived_gate and _derived_density).
 """
 
 from __future__ import annotations
@@ -141,7 +146,7 @@ class PureState:
         return np.abs(self.amplitudes) ** 2
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+        return _derived_density(np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def tensor(self, other: "PureState") -> "PureState":
         return PureState(np.kron(self.amplitudes, other.amplitudes))
@@ -153,11 +158,24 @@ def basis_state(n_qubits: int, index: int = 0) -> PureState:
     return PureState(amp)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix:
-    """Trace-one Hermitian positive-semidefinite operator."""
+    """Trace-one Hermitian positive-semidefinite operator.
+
+    ``DensityMatrix(m)`` is the boundary for a density from outside the
+    program: it adds the O(d^3) eigenvalue check to the O(d^2) ones of
+    ``__post_init__``, which every density runs, the engines' too (see
+    ``_derived_density``).
+    """
 
     matrix: np.ndarray
+
+    def __init__(self, matrix):
+        object.__setattr__(self, "matrix", matrix)
+        self.__post_init__()
+        lo = float(np.linalg.eigvalsh(self.matrix).min())
+        if lo < -1e-9:
+            raise ValueError(f"density matrix has eigenvalue {lo:.3e} < -1e-9")
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
@@ -170,9 +188,6 @@ class DensityMatrix:
         tr = np.trace(m)
         if abs(tr - 1.0) > ATOL_STRUCTURAL:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond 1e-10")
-        lo = float(np.linalg.eigvalsh(m).min())
-        if lo < -1e-9:
-            raise ValueError(f"density matrix has eigenvalue {lo:.3e} < -1e-9")
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property
@@ -185,6 +200,17 @@ class DensityMatrix:
     def purity(self) -> float:
         # Tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
         return float(np.vdot(self.matrix, self.matrix).real)
+
+
+def _derived_density(m: np.ndarray) -> DensityMatrix:
+    """The DensityMatrix of an engine result, with ``__post_init__``'s O(d^2)
+    checks but not the constructor's eigenvalue check: the engines make it
+    from a checked state by positive maps (outer products, unitaries,
+    channels, projections, partial traces), so it stays positive."""
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "matrix", m)
+    rho.__post_init__()
+    return rho
 
 
 def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
@@ -217,7 +243,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     bra = [n + q if q in keep else q for q in range(n)]
     reduced = np.einsum(rho.matrix.reshape([2] * (2 * n)), ket + bra, keep + [n + q for q in keep])
     d = 2 ** len(keep)
-    return DensityMatrix(reduced.reshape(d, d))
+    return _derived_density(reduced.reshape(d, d))
 
 
 def rotation_y(theta) -> np.ndarray:

@@ -147,10 +147,12 @@ def fit_grid(molecule: nmr.MoleculeParams) -> np.ndarray:
     Column j is carbon line j at the molecule's centre and width, sampled on
     a 4096-point grid spanning the centres with 20 linewidths to spare.  A
     fitted readout recovers the line intensities through the pseudo-inverse
-    of these columns, so they must be well conditioned.  Raises
-    UnresolvedLines when two centres lie closer than one grid step (their
-    columns would be nearly equal and the two intensities undetermined), or
-    when their condition number kappa exceeds ``_MAX_CONDITION``.  The
+    of these columns, so they must be well conditioned: raises
+    UnresolvedLines when their condition number kappa exceeds
+    ``_MAX_CONDITION``, which is the only criterion.  Lines closer than one
+    grid step pass when their shapes stay distinct (C-F couplings of
+    (128, 48, 0.01) Hz at 1 Hz give kappa 141), and coinciding lines, whose
+    columns are equal, give kappa of 1e16 and above.  The
     pseudo-inverse product moves a fitted line by at most about
     kappa * eps * max|V| (eps the unit roundoff), and |V| <= 1 since
     2|rho[i, i+8]| <= p_i + p_(i+8); so kappa <= 1e-9 / eps, about 4.5e6,
@@ -171,15 +173,12 @@ def _factor_lines(centers: tuple[float, ...], width: float) -> tuple[np.ndarray,
     """Unit line shapes and their SVD pseudo-inverse for one line table, both read-only."""
     centers = np.array(centers)
     freqs = np.linspace(centers.min() - 20.0 * width, centers.max() + 20.0 * width, 4096)
-    gap = np.min(np.diff(np.sort(centers)))
-    step = freqs[1] - freqs[0]
-    if gap < step:
-        raise UnresolvedLines(f"two carbon lines lie {gap:.3g} Hz apart, within the fit's {step:.3g} Hz grid step")
     shapes = nmr.lorentzian(freqs[:, None], centers, 1.0, width)
     u, s, vt = np.linalg.svd(shapes, full_matrices=False)
     if s[0] > _MAX_CONDITION * s[-1]:
+        kappa = s[0] / s[-1] if s[-1] > 0.0 else np.inf  # equal columns can leave s[-1] exactly 0
         raise UnresolvedLines(
-            f"carbon line shapes have condition number {s[0] / s[-1]:.3g}, above the fit's {_MAX_CONDITION:.3g}"
+            f"carbon line shapes have condition number {kappa:.3g}, above the fit's {_MAX_CONDITION:.3g}"
         )
     return _freeze(shapes), _freeze((vt.T / s) @ u.T)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hhlsim import circuit as qc
+from hhlsim import qcore
 from hhlsim.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -384,6 +385,13 @@ class TestGateValidation:
     def test_non_unitary_matrix_rejected(self):
         with pytest.raises(NotUnitary):
             qc.ControlledUnitary(((0, 1),), (1,), np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_inverse_gates_are_frozen_like_checked_ones(self):
+        cu = qc.gate_inverse(qc.ControlledUnitary(((0, 1),), (1,), qcore.rotation_x(0.3)))
+        mry = qc.gate_inverse(qc.MultiplexedRy((0,), 1, [0.1, 0.2]))
+        for array, dtype in ((cu.matrix, complex), (mry.angles, float)):
+            assert array.dtype == dtype and array.flags.c_contiguous and not array.flags.writeable
+        assert np.array_equal(cu.matrix, qcore.rotation_x(-0.3)) and mry.angles.tolist() == [-0.1, -0.2]
 
     def test_non_finite_matrix_rejected(self):
         with pytest.raises(ValueError):

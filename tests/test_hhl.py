@@ -9,6 +9,7 @@ from hhlsim.errors import (
     EigenvalueNotEncodable,
     NotPositiveDefinite,
     RegisterTooWide,
+    ZeroProbabilityBranch,
     ZeroReferenceComponent,
 )
 from hhlsim.qcore import PureState, basis_state
@@ -407,6 +408,64 @@ class TestPureRunStaysStateVector:
         report = hhl.run_hhl(s, hhl.SolverConfig(clock_qubits=6, rotation_mode="exact"))
         assert report.final_state.n_qubits == 10
         assert widths and max(widths) <= 8
+
+
+class TestEngineValuesAreNotRechecked:
+    """Gates and densities the pipeline derives from a checked system run no
+    O(d^3) unitarity or eigenvalue check; inputs still do (test_circuit,
+    test_qcore)."""
+
+    @pytest.mark.parametrize("n_b", [1, 2, 3])
+    def test_pure_run_makes_no_unitary_check(self, monkeypatch, n_b):
+        shapes = []
+        check = qcore.require_unitary
+
+        def counting(u):
+            shapes.append(np.shape(u))
+            return check(u)
+
+        monkeypatch.setattr(qcore, "require_unitary", counting)
+        s = encodable_system(np.random.default_rng(50 + n_b), 2**n_b)
+        for mode in hhl.ROTATION_MODES:
+            hhl.run_hhl(s, hhl.SolverConfig(clock_qubits=3, rotation_mode=mode))
+        # the paper's per-bit inversion path
+        hhl.run_hhl(demo_system([1.0, 0.0]), hhl.SolverConfig())
+        assert shapes == []
+
+    def test_noisy_run_checks_no_full_register_eigenvalues(self, monkeypatch):
+        widths = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            widths.append(np.shape(a)[-1])
+            return eigvalsh(a, *args, **kwargs)
+
+        def builder(c):
+            return qc.dephasing_schedule(c, 50.0, 500.0) + qc.pulse_error_schedule(c, 0.001)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        s = encodable_system(np.random.default_rng(8), 4)
+        report = hhl.run_hhl(s, hhl.SolverConfig(clock_qubits=5, rotation_mode="exact"), noise_builder=builder)
+        assert report.final_density.n_qubits == 8
+        assert all(w < 2**8 for w in widths)
+
+    @pytest.mark.parametrize("n_b", [1, 2, 3])
+    def test_pure_post_selection_matches_measure_qubit(self, n_b):
+        s = encodable_system(np.random.default_rng(60 + n_b), 2**n_b)
+        report = hhl.run_hhl(s, hhl.SolverConfig(clock_qubits=3, rotation_mode="exact"))
+        final = report.final_state
+        prob, post = qc.measure_qubit(final, final.n_qubits - 1, 1)
+        m = post.amplitudes.reshape(2**3, 2**n_b, 2)[:, :, 1]
+        x = qcore.canonical_phase(hhl._dominant_vector(qcore.DensityMatrix(m.T @ m.conj())))
+        assert report.success_probability == prob
+        assert report.x_quantum.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["pure", "noisy"])
+    def test_massless_post_selection_raises(self, noisy):
+        # r = 30 turns the ancilla by about 6e-9 rad, a post-selection mass of 1e-17
+        with pytest.raises(ZeroProbabilityBranch):
+            builder = (lambda c: []) if noisy else None
+            hhl.run_hhl(demo_system([1.0, 0.0]), hhl.SolverConfig(r=30), noise_builder=builder)
 
 
 class TestStateBudget:

@@ -1,6 +1,6 @@
 """Pipeline invariants over random systems of 1 to 3 solution qubits, the
-fitted readout over random states and line positions, and a fuzzer over
-the shipped configs.
+invariants of engine-built gates and densities, the fitted readout over
+random states and line positions, and a fuzzer over the shipped configs.
 
 Each system is A = Q diag(lambda) Q^dagger with a random unitary Q and
 integer eigenvalues lambda_j, so at t0 = 2*pi every eigenvalue sits exactly
@@ -12,7 +12,9 @@ import contextlib
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,8 +25,8 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 from hhlsim import circuit as qc  # noqa: E402
-from hhlsim import cli, hhl, nmr, reference, tomography  # noqa: E402
-from hhlsim.errors import UnresolvedLines  # noqa: E402
+from hhlsim import cli, hhl, nmr, qcore, reference, tomography  # noqa: E402
+from hhlsim.errors import EigenvalueNotEncodable, UnresolvedLines, ZeroProbabilityBranch  # noqa: E402
 from hhlsim.qcore import DensityMatrix, PureState, basis_state  # noqa: E402
 
 # Without a database Hypothesis still caches the constants it finds in
@@ -35,10 +37,10 @@ PROPERTY_SETTINGS = settings(database=None, derandomize=True, max_examples=15, d
 
 
 @st.composite
-def encodable_systems(draw, max_clock_qubits=3):
+def encodable_systems(draw, max_clock_qubits=3, min_clock_qubits=2):
     """(system, exact-mode config, eigenvalues, eigenvectors as columns)."""
     n_b = draw(st.integers(1, 3))
-    t = draw(st.integers(2, max_clock_qubits))
+    t = draw(st.integers(min_clock_qubits, max_clock_qubits))
     dim = 2**n_b
     lam = np.array(draw(st.lists(st.integers(1, 2**t - 1), min_size=dim, max_size=dim)), dtype=float)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -121,6 +123,49 @@ def test_phase_estimation_leaves_label_lsb_first(case, data):
     # label k on qubits 0..t-1 least significant bit first
     index = int(format(int(lam[j]), f"0{t}b")[::-1], 2)
     assert clock_mass[index] >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+@PROPERTY_SETTINGS
+@given(st.data(), st.one_of(st.just(1.0), st.floats(0.7, 1.3)), st.sampled_from(hhl.ROTATION_MODES))
+def test_engine_gates_and_densities_keep_their_invariants(t, data, t0_scale, mode):
+    # the engines skip the unitarity and eigenvalue checks on what they
+    # build; t0 = 2*pi puts every eigenvalue on its clock label, other
+    # scales put them between labels
+    system, cfg, _, _ = data.draw(encodable_systems(max_clock_qubits=t, min_clock_qubits=t))
+    try:
+        cfg = hhl.resolve_config(system, replace(cfg, t0=2.0 * np.pi * t0_scale, rotation_mode=mode))
+    except EigenvalueNotEncodable:
+        reject()
+    for g in hhl.build_circuit(system, cfg).gates:
+        if isinstance(g, qc.Hadamard):
+            continue
+        array, dtype = (g.angles, float) if isinstance(g, qc.MultiplexedRy) else (g.matrix, complex)
+        assert array.dtype == dtype and array.flags.c_contiguous and not array.flags.writeable
+        blocks = qcore.rotation_y(g.angles) if isinstance(g, qc.MultiplexedRy) else [g.matrix]
+        for u in blocks:
+            assert qcore.unitarity_defect(u) <= 1e-10
+
+    derive, densities = qcore._derived_density, []
+
+    def recording(m):
+        densities.append(derive(m))
+        return densities[-1]
+
+    def noise(c):
+        return qc.dephasing_schedule(c, 50.0, 500.0) + qc.pulse_error_schedule(c, 0.001)
+
+    with mock.patch.object(qcore, "_derived_density", recording):
+        try:
+            hhl.run_hhl(system, cfg)
+        except ZeroProbabilityBranch:
+            reject()  # an exact-mode label below its eigenvalue rotates by 0
+        hhl.run_hhl(system, cfg, noise_builder=noise)
+    # the pure run's solution-register state; the noisy run's initial state,
+    # evolved state, post-selected state, solution-register state and reference
+    assert len(densities) == 6
+    for rho in densities:
+        assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-9
 
 
 @st.composite

@@ -192,6 +192,14 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             DensityMatrix(m)
 
+    def test_engine_densities_keep_the_trace_and_hermiticity_checks(self):
+        with pytest.raises(ValueError):
+            qcore._derived_density(np.eye(2, dtype=complex))
+        with pytest.raises(NotHermitian):
+            qcore._derived_density(np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex))
+        rho = qcore._derived_density(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
+        assert rho.matrix.dtype == complex and not rho.matrix.flags.writeable
+
     def test_arrays_are_read_only(self):
         s = basis_state(2, 1)
         with pytest.raises(ValueError):

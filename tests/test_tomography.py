@@ -128,17 +128,32 @@ class TestSimulateReadout:
             tomo.simulate_readout(basis_state(4, 0).density(), tomo.pulse_catalog("partial"), noise_sigma=0.01)
 
     @pytest.mark.parametrize(
-        "c_f", [(0.0, 0.0, 0.0), (128.0, 48.0, 0.0), (128.0, 48.0, 1e-6), (128.0, 48.0, 0.01)],
+        "c_f, resolved",
+        [
+            ((0.0, 0.0, 0.0), False),
+            ((128.0, 48.0, 0.0), False),
+            ((128.0, 48.0, 1e-6), True),
+            ((128.0, 48.0, 0.01), True),
+        ],
         ids=["all_coincide", "pairs_coincide", "1e-6_hz", "0.01_hz"],
     )
-    def test_fit_rejects_unresolved_lines(self, c_f):
+    def test_fit_rejects_unresolved_lines(self, c_f, resolved):
+        # only the condition number decides: coinciding lines (kappa 1.1e16 and
+        # 5e47) are rejected, while lines 1e-6 Hz and 0.01 Hz apart, well inside
+        # the grid step, have kappa 1.4e6 and 141 and fit within 1e-9
         j = np.array(nmr._DEFAULT_J)
         j[0, 1:] = j[1:, 0] = c_f
         molecule = nmr.MoleculeParams(j_couplings=j)
         rho = ideal_final_state([1.0, 0.0], mode="exact").density()
-        with pytest.raises(UnresolvedLines):
-            tomo.simulate_readout(rho, tomo.pulse_catalog("partial"), fit_via_spectrum=True, molecule=molecule)
-        assert len(tomo.simulate_readout(rho, tomo.pulse_catalog("partial"), molecule=molecule)) == 5
+        exact = tomo.simulate_readout(rho, tomo.pulse_catalog("partial"), molecule=molecule)
+        assert len(exact) == 5
+        if not resolved:
+            with pytest.raises(UnresolvedLines):
+                tomo.simulate_readout(rho, tomo.pulse_catalog("partial"), fit_via_spectrum=True, molecule=molecule)
+            return
+        fitted = tomo.simulate_readout(rho, tomo.pulse_catalog("partial"), fit_via_spectrum=True, molecule=molecule)
+        for a, b in zip(exact, fitted):
+            assert np.max(np.abs(a.peak_amplitudes - b.peak_amplitudes)) < 1e-9
 
 
 class TestReconstruction:
@@ -283,8 +298,8 @@ class TestReconstruction:
             assert np.max(np.abs(a.peak_amplitudes - b.peak_amplitudes)) < 1e-9
 
     def test_fit_rejects_ill_conditioned_lines(self):
-        # eight lines 0.08 Hz apart at 8 Hz: each gap exceeds the 0.078 Hz grid
-        # step, but the shapes' condition number is 1.6e11 and the fit erred by 9e-8
+        # eight lines 0.08 Hz apart at 8 Hz: the shapes' condition number is
+        # 1.6e11, and an unchecked fit erred by 9e-8
         j = np.array(nmr._DEFAULT_J)
         j[0, 1:] = j[1:, 0] = (0.32, 0.16, 0.08)
         molecule = nmr.MoleculeParams(j_couplings=j, linewidth=8.0)
