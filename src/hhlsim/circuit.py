@@ -143,9 +143,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def inverse(self) -> "Circuit":
-        return Circuit(self.n_qubits, tuple(gate_inverse(g) for g in reversed(self.gates)), self.registers)
-
 
 def _apply_block(tensor: np.ndarray, matrix: np.ndarray, axes: Sequence[int]) -> None:
     """Multiply ``matrix`` in place into the given tensor axes (first axis = block MSB);

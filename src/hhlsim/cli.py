@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,9 @@ from .hhl import resolve_config, run_hhl, sweep_r, sweep_t0, theoretical_final_s
 from .qcore import fidelity
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(prog="hhlsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (

@@ -87,6 +87,11 @@ def apply_one(state, g):
     return qc.run_circuit(state, qc.Circuit(state.n_qubits, (g,)))
 
 
+def inverse_circuit(c):
+    """The gates of ``c`` inverted one by one, in reverse order."""
+    return qc.Circuit(c.n_qubits, tuple(qc.gate_inverse(g) for g in reversed(c.gates)))
+
+
 class TestApplyGate:
     def test_hadamard_on_zero(self):
         out = apply_one(basis_state(1, 0), qc.Hadamard(0))
@@ -123,7 +128,7 @@ class TestRunCircuit:
         rng = np.random.default_rng(2)
         c = random_circuit(rng, 4, 25)
         state = random_state(rng, 4)
-        back = qc.run_circuit(qc.run_circuit(state, c), c.inverse())
+        back = qc.run_circuit(qc.run_circuit(state, c), inverse_circuit(c))
         assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-10
 
     def test_width_mismatch(self):
@@ -175,7 +180,7 @@ class TestMultiplexedRy:
             rho = DensityMatrix(0.7 * state.density().matrix + 0.3 * random_state(rng, t + 2).density().matrix)
             got = qc.evolve_density(rho, multiplexed).matrix
             assert np.max(np.abs(got - qc.evolve_density(rho, reference).matrix)) < 1e-12
-            back = qc.run_circuit(qc.run_circuit(state, multiplexed), multiplexed.inverse())
+            back = qc.run_circuit(qc.run_circuit(state, multiplexed), inverse_circuit(multiplexed))
             assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
 
     def test_noise_schedule_counts_one_gate_on_all_its_qubits(self):
@@ -223,7 +228,7 @@ class TestQft:
 
     def test_qft_then_inverse(self):
         m = self.circuit_matrix(qc.qft(2))
-        mi = self.circuit_matrix(qc.qft(2).inverse())
+        mi = self.circuit_matrix(inverse_circuit(qc.qft(2)))
         assert np.max(np.abs(mi @ m - np.eye(4))) < 1e-10
 
 

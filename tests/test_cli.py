@@ -241,6 +241,24 @@ class TestSolveCommand:
         assert ex["max_rel_error"] < 1e-9
         assert lin["max_rel_error"] > 1e-3
 
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch):
+        built = []
+        init = cli.argparse.ArgumentParser.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted_init)
+        cli.build_parser.cache_clear()
+        cfg = CONFIG_DIR / "experiment1.ini"
+        assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "ex", "--mode", "exact"]) == 0
+        parsers = len(built)
+        assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "lin"]) == 0
+        assert parsers > 0 and len(built) == parsers
+        # the override of the first call does not stick to the shared parser
+        assert read_json(tmp_path / "lin" / "solve_report.json")["max_rel_error"] > 1e-3
+
     def test_noise_override_enables_density_engine(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli(

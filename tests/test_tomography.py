@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hhlsim import config, hhl, nmr, qcore, tomography as tomo
-from hhlsim.errors import InsufficientRecords, SubspaceMassTooSmall, UnresolvedLines
+from hhlsim.errors import HhlsimError, InsufficientRecords, SubspaceMassTooSmall, UnresolvedLines
 from hhlsim.qcore import DensityMatrix, PureState, basis_state, fidelity
 
 A_DEMO = np.array([[1.5, 0.5], [0.5, 1.5]])
@@ -369,3 +369,54 @@ class TestPartialExtraction:
         records = tomo.simulate_readout(basis_state(4, 0).density(), tomo.pulse_catalog("partial")[:3])
         with pytest.raises(InsufficientRecords):
             tomo.extract_solution_partial(records)
+
+
+class TestDesignInverse:
+    DESIGNS = {
+        "full": (tomo._full_design, tomo._full_pinv),
+        "partial": (tomo._partial_design, tomo._partial_pinv),
+    }
+
+    @pytest.mark.parametrize("kind", DESIGNS)
+    @pytest.mark.parametrize("defect", ["repeated_column", "nearly_repeated_column", "zero_column"])
+    def test_rank_deficient_design_rejected(self, kind, defect):
+        design = self.DESIGNS[kind][0]()
+        if defect == "repeated_column":
+            design[:, 1] = design[:, 0]
+        elif defect == "nearly_repeated_column":  # condition number 3e6 to 8e6
+            design[:, 1] = design[:, 0] + 1e-6 * design[:, 1]
+        else:
+            design[:, 3] = 0.0
+        with pytest.raises(HhlsimError, match="^defective design: design condition number"):
+            tomo._design_inverse(design, "defective design")
+
+    @pytest.mark.parametrize("kind", DESIGNS)
+    def test_matches_svd_pseudo_inverse(self, kind):
+        design, inverse = self.DESIGNS[kind]
+        assert np.max(np.abs(inverse() - np.linalg.pinv(design()))) < 1e-13
+
+    @pytest.mark.parametrize("kind", DESIGNS)
+    def test_cached_inverse_is_read_only(self, kind):
+        inverse = self.DESIGNS[kind][1]()
+        with pytest.raises(ValueError):
+            inverse[0, 0] = 1.0
+
+    def test_each_design_is_factored_once_without_svd(self, monkeypatch):
+        grams = []
+        eigh = np.linalg.eigh
+
+        def counted_eigh(a, *args, **kwargs):
+            if a.dtype == float:
+                grams.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        for name in ("svd", "pinv", "matrix_rank"):
+            monkeypatch.setattr(np.linalg, name, lambda *args, _name=name, **kwargs: pytest.fail(f"ran {_name}"))
+        tomo._full_pinv.cache_clear()
+        tomo._partial_pinv.cache_clear()
+        rho = ideal_final_state([1.0, 0.0], mode="exact").density()
+        for _ in range(2):
+            tomo.reconstruct_density(tomo.simulate_readout(rho, tomo.pulse_catalog("full")))
+            tomo.extract_solution_partial(tomo.simulate_readout(rho, tomo.pulse_catalog("partial")))
+        assert grams == [(256, 256), (16, 16)]
