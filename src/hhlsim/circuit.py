@@ -185,22 +185,15 @@ def run_circuit(state: PureState, c: Circuit) -> PureState:
     return PureState(tensor.reshape(-1))
 
 
-def qft(t: int) -> Circuit:
-    """Quantum Fourier transform on ``t`` qubits, without the final bit reversal.
+def _qft_gates(t: int) -> list[Gate]:
+    """Quantum Fourier transform on qubits 0..t-1, without the final bit reversal.
 
-    Hadamards with controlled phase gates.  The circuit's matrix is
+    Hadamards with controlled phase gates.  Their matrix is
     F[j, k] = exp(2*pi*i*j*k / 2**t) / 2**(t/2) with its output qubits
     reversed: input |k> (qubit 0 = MSB) leaves F|k> with qubit 0 as the
     least significant bit.  For t = 2 the single controlled phase is exactly
     a controlled S.
     """
-    if t < 1:
-        raise DimensionMismatch("QFT needs at least one qubit")
-    return Circuit(t, _qft_gates(t))
-
-
-def _qft_gates(t: int) -> list[Gate]:
-    """The gates of qft(t), for a caller that places them in its own circuit."""
     gates: list[Gate] = []
     for i in range(t):
         gates.append(Hadamard(i))
@@ -231,10 +224,11 @@ class Dephasing:
     duration: float
 
     def __post_init__(self):
-        if self.t2_star <= 0.0:
+        # written so that NaN fails them
+        if not self.t2_star > 0.0:
             raise ValueError("t2_star must be positive")
-        if self.duration < 0.0:
-            raise ValueError("duration must be non-negative")
+        if not 0.0 <= self.duration < np.inf:
+            raise ValueError("duration must be non-negative and finite")
 
     def apply(self, tensor: np.ndarray, q: int, n: int) -> None:
         """Scale qubit ``q``'s off-diagonal blocks of ``tensor`` in place."""
@@ -341,49 +335,32 @@ def evolve_density(
 # Measurement
 
 
-def _measure_pure(state: PureState, q: int, outcome: int) -> tuple[float, PureState]:
-    n = state.n_qubits
-    tensor = state.amplitudes.reshape([2] * n)
-    idx = [slice(None)] * n
-    idx[q] = outcome
-    branch = tensor[tuple(idx)]
-    prob = float(np.sum(np.abs(branch) ** 2))
-    if prob < 1e-14:
-        raise ZeroProbabilityBranch(f"outcome {outcome} on qubit {q} has probability {prob:.3e}")
-    post = np.zeros_like(tensor)
-    post[tuple(idx)] = branch / np.sqrt(prob)
-    return prob, PureState(post.reshape(-1))
+# A branch this light is numerically empty: measuring it, or post-selecting on it, raises.
+MIN_BRANCH_PROBABILITY = 1e-12
 
 
-def _measure_density(rho: DensityMatrix, q: int, outcome: int) -> tuple[float, DensityMatrix]:
+def measure_qubit(rho: DensityMatrix, q: int, outcome: int) -> tuple[float, DensityMatrix]:
+    """Probability of ``outcome`` on qubit ``q`` and the renormalized post state.
+
+    Raises ZeroProbabilityBranch when the requested branch has probability
+    at or below ``MIN_BRANCH_PROBABILITY``.
+    """
+    if not isinstance(rho, DensityMatrix):
+        raise TypeError("rho must be a DensityMatrix")
+    if outcome not in (0, 1):
+        raise ValueError("outcome must be 0 or 1")
     n = rho.n_qubits
+    if q < 0 or q >= n:
+        raise IndexOutOfRange(f"qubit {q} outside 0..{n - 1}")
     tensor = rho.matrix.reshape([2] * (2 * n))
     block = _block(q, n, outcome, outcome)
     t = np.zeros_like(tensor)
     t[block] = tensor[block]
     m = t.reshape(2**n, 2**n)
     prob = float(np.real(np.trace(m)))
-    if prob < 1e-14:
+    if prob <= MIN_BRANCH_PROBABILITY:
         raise ZeroProbabilityBranch(f"outcome {outcome} on qubit {q} has probability {prob:.3e}")
     return prob, qcore._derived_density(m / prob)
-
-
-def measure_qubit(state, q: int, outcome: int):
-    """Probability of ``outcome`` on qubit ``q`` and the renormalized post state.
-
-    Accepts a PureState or a DensityMatrix.  Raises ZeroProbabilityBranch
-    when the requested branch has probability below 1e-14.
-    """
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
-    n = state.n_qubits
-    if q < 0 or q >= n:
-        raise IndexOutOfRange(f"qubit {q} outside 0..{n - 1}")
-    if isinstance(state, PureState):
-        return _measure_pure(state, q, outcome)
-    if isinstance(state, DensityMatrix):
-        return _measure_density(state, q, outcome)
-    raise TypeError("state must be a PureState or DensityMatrix")
 
 
 # ---------------------------------------------------------------------------

@@ -49,12 +49,8 @@ class OutOfCalibrationRange(HhlsimError):
     """Temperature outside the window the drift formulas were fitted on."""
 
 
-class FitDiverged(HhlsimError):
-    """Peak fit failed to converge within the iteration budget."""
-
-
 class UnresolvedLines(HhlsimError):
-    """Two carbon lines lie closer than the fitted spectrum's sample spacing."""
+    """Carbon line shapes too ill-conditioned to fit their intensities apart."""
 
 
 class InsufficientRecords(HhlsimError):

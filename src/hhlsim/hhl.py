@@ -393,11 +393,6 @@ def _dominant_vector(rho: DensityMatrix) -> np.ndarray:
     return np.linalg.eigh(rho.matrix)[1][:, -1]
 
 
-def _require_post_selection(prob: float) -> None:
-    if prob <= 1e-12:
-        raise ZeroProbabilityBranch(f"post-selection probability {prob:.3e} below 1e-12")
-
-
 def run_hhl(
     sys: LinearSystem,
     cfg: SolverConfig,
@@ -429,7 +424,8 @@ def run_hhl(
         # the ancilla = 1 branch, renormalized as measure_qubit renormalizes it
         branch = final.amplitudes.reshape(2**t, 2**nb, 2)[:, :, 1]
         prob = float(np.sum(np.abs(branch) ** 2))
-        _require_post_selection(prob)
+        if prob <= qcirc.MIN_BRANCH_PROBABILITY:
+            raise ZeroProbabilityBranch(f"post-selection probability {prob:.3e} below {qcirc.MIN_BRANCH_PROBABILITY:g}")
         m = branch / np.sqrt(prob)
         # rows of m are the clock values, so tracing out the clock is m^T conj(m)
         rho_b = qcore._derived_density(m.T @ m.conj())
@@ -442,7 +438,6 @@ def run_hhl(
         clock_mass = rho_final.populations().reshape(2**t, -1).sum(axis=1)
         clock_residual = float(1.0 - clock_mass[0])
         prob, post_rho = qcirc.measure_qubit(rho_final, c.n_qubits - 1, 1)
-        _require_post_selection(prob)
         rho_b = qcore.partial_trace(post_rho, range(t, t + nb))
         fid = qcore.fidelity(theory.density(), rho_final)
         final = None

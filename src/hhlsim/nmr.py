@@ -1,11 +1,13 @@
 """Experimental-layer models: pseudo-pure states, chemical-shift drift,
-carbon spectrum synthesis and Lorentzian peak fitting.
+carbon spectrum synthesis and the linear fit of carbon line intensities.
 
 The four-spin register is carbon plus three fluorines, mapped to qubits
 0..3 in that order.  Carbon detection resolves eight lines, one per state
 of the fluorine spins; the intensity of line j equals the population
 difference p_j - p_(j+8) between the carbon-down and carbon-up halves of
 the register (the pi/2 carbon readout pulse is implicit in the mapping).
+The J couplings fix the line centres, so a fit of the spectrum solves
+only for the intensities, which are linear in it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FitDiverged, OutOfCalibrationRange
+from .errors import DimensionMismatch, OutOfCalibrationRange, UnresolvedLines
 from .qcore import DensityMatrix, _freeze
 
 NUCLEI = ("C", "F1", "F2", "F3")
@@ -176,83 +178,52 @@ def synthesize_spectrum(rho: DensityMatrix, params: MoleculeParams | None = None
     return CarbonSpectrum(tuple(peaks))
 
 
-# Budget of lorentzian_fit in residual evaluations.  MINPACK's lmder, which
-# least_squares(method="lm") runs with the analytic Jacobian, makes about one
-# evaluation per iteration, so this is also about 200 iterations.
-_MAX_ITERATIONS = 200
+_MAX_CONDITION = 1e-9 / np.finfo(float).eps  # see _line_pinv
 
 
-@dataclass(frozen=True)
-class FittedPeak:
-    center: float
-    intensity: float
-    width: float
+def _line_pinv(shapes: np.ndarray) -> np.ndarray:
+    """SVD pseudo-inverse of unit line shapes, one column per line.
+
+    The shapes' condition number kappa is the only criterion: above
+    ``_MAX_CONDITION`` (1e-9 / eps, about 4.5e6) raises UnresolvedLines.
+    Coinciding lines have equal columns and kappa of 1e16 and above, while
+    lines far closer than the sample spacing pass when their shapes stay
+    distinct.  The product moves a fitted intensity by at most about
+    kappa * eps * max|V| (eps the unit roundoff, V the intensities), so the
+    bound holds every line within 1e-9 of max|V|; readout lines have
+    |V| <= 1, since 2|rho[i, i+8]| <= p_i + p_(i+8).
+    """
+    u, s, vt = np.linalg.svd(shapes, full_matrices=False)
+    if s[0] > _MAX_CONDITION * s[-1]:
+        kappa = s[0] / s[-1] if s[-1] > 0.0 else np.inf  # equal columns can leave s[-1] exactly 0
+        raise UnresolvedLines(
+            f"carbon line shapes have condition number {kappa:.3g}, above the fit's {_MAX_CONDITION:.3g}"
+        )
+    return (vt.T / s) @ u.T
 
 
-def _fit_residuals(params: np.ndarray, f: np.ndarray, y: np.ndarray) -> np.ndarray:
-    total = np.zeros_like(f)
-    for c, h, w in params.reshape(-1, 3):
-        total += lorentzian(f, c, h, w)
-    return total - y
+def lorentzian_fit(samples, centers, width: float) -> np.ndarray:
+    """Least-squares intensities of Lorentzian lines at known centres and FWHM.
 
-
-def _fit_jacobian(params: np.ndarray, f: np.ndarray, y: np.ndarray) -> np.ndarray:
-    jac = np.empty((f.size, params.size))
-    for i, (c, h, w) in enumerate(params.reshape(-1, 3)):
-        half = w / 2.0
-        denom = (f - c) ** 2 + half**2
-        jac[:, 3 * i] = h * half**2 * 2.0 * (f - c) / denom**2
-        jac[:, 3 * i + 1] = half**2 / denom
-        # dL/dw = dL/dhalf * 1/2; dL/dhalf = 2 h half (f-c)^2 / denom^2
-        jac[:, 3 * i + 2] = h * half * (f - c) ** 2 / denom**2
-    return jac
-
-
-def lorentzian_fit(samples, n_peaks: int, *, initial) -> list[FittedPeak]:
-    """Least-squares fit of a sum of Lorentzians to sampled (freq, amplitude) data.
-
-    ``initial`` is the starting point, (center, intensity, width) per peak,
-    and the fitted peaks come back in its order, not sorted by centre: a
-    peak of zero intensity has no centre gradient and may drift past a
-    neighbour.  The fit is damped least squares (Levenberg-Marquardt) with
-    the analytic Jacobian; a start whose Lorentzian sum equals every sample
-    exactly comes back unchanged.  Raises FitDiverged when the budget of
-    ``_MAX_ITERATIONS`` residual evaluations runs out before the
-    relative-change convergence threshold (1e-8) is met.
+    ``samples`` is an (N, 2) array of (freq, amplitude); the intensities
+    come back in the order of ``centers``.  With the centres and width
+    fixed the spectrum is linear in the intensities, so the fit is one
+    product with the pseudo-inverse of the unit line shapes
+    (``_line_pinv``, which raises UnresolvedLines for lines the samples
+    cannot tell apart).
     """
     data = np.asarray(samples, dtype=float)
+    lines = np.asarray(centers, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
         raise DimensionMismatch("samples must be an (N, 2) array of (freq, amplitude)")
+    if lines.ndim != 1 or lines.size == 0:
+        raise DimensionMismatch("centers must be a non-empty 1-D array")
+    if data.shape[0] < lines.size:
+        raise DimensionMismatch(f"{data.shape[0]} samples cannot fit {lines.size} lines")
     if not np.all(np.isfinite(data)):
         raise ValueError("samples must be finite")
-    if n_peaks < 1:
-        raise ValueError("n_peaks must be >= 1")
-    f, y = data[:, 0], data[:, 1]
-    if f.size < 3 * n_peaks:
-        raise FitDiverged("fewer samples than fit parameters")
-    x0 = np.asarray(initial, dtype=float).reshape(-1)
-    if x0.size != 3 * n_peaks:
-        raise DimensionMismatch(f"initial needs {3 * n_peaks} values for {n_peaks} peaks, got {x0.size}")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("initial values must be finite")
-    if np.any(x0[2::3] <= 0.0):
-        raise ValueError("initial widths must be positive")
-    # imported on first use: at module level it was most of `import hhlsim`'s time
-    from scipy.optimize import least_squares
-
-    result = least_squares(
-        _fit_residuals,
-        x0,
-        jac=_fit_jacobian,
-        args=(f, y),
-        method="lm",
-        ftol=1e-8,
-        xtol=1e-8,
-        max_nfev=_MAX_ITERATIONS,
-    )
-    if not result.success:
-        raise FitDiverged(f"no convergence within the evaluation budget (status {result.status})")
-    return [
-        FittedPeak(center=float(c), intensity=float(h), width=float(abs(w)))
-        for c, h, w in result.x.reshape(-1, 3)
-    ]
+    if not np.all(np.isfinite(lines)):
+        raise ValueError("centers must be finite")
+    if not (np.isfinite(width) and width > 0.0):
+        raise ValueError("width must be positive and finite")
+    return _line_pinv(lorentzian(data[:, :1], lines, 1.0, width)) @ data[:, 1]

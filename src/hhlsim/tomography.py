@@ -27,7 +27,6 @@ from .errors import (
     HhlsimError,
     InsufficientRecords,
     SubspaceMassTooSmall,
-    UnresolvedLines,
 )
 from .qcore import DensityMatrix, _freeze
 
@@ -138,28 +137,17 @@ class MeasurementRecord:
         object.__setattr__(self, "peak_amplitudes", _freeze(peaks))
 
 
-_MAX_CONDITION = 1e-9 / np.finfo(float).eps  # see fit_grid
-
-
 def fit_grid(molecule: nmr.MoleculeParams) -> np.ndarray:
     """The (4096, 8) unit-intensity line shapes of a fitted readout (read-only).
 
     Column j is carbon line j at the molecule's centre and width, sampled on
     a 4096-point grid spanning the centres with 20 linewidths to spare.  A
     fitted readout recovers the line intensities through the pseudo-inverse
-    of these columns, so they must be well conditioned: raises
-    UnresolvedLines when their condition number kappa exceeds
-    ``_MAX_CONDITION``, which is the only criterion.  Lines closer than one
-    grid step pass when their shapes stay distinct (C-F couplings of
-    (128, 48, 0.01) Hz at 1 Hz give kappa 141), and coinciding lines, whose
-    columns are equal, give kappa of 1e16 and above.  The
-    pseudo-inverse product moves a fitted line by at most about
-    kappa * eps * max|V| (eps the unit roundoff), and |V| <= 1 since
-    2|rho[i, i+8]| <= p_i + p_(i+8); so kappa <= 1e-9 / eps, about 4.5e6,
-    keeps every fitted line within the 1e-9 readout bound.  The default
-    table has kappa 1.01 and 300 Hz lines 3.2e4.  Shapes and
-    pseudo-inverse are factored once per line table (centres and width) and
-    cached.
+    of these columns, which raises UnresolvedLines when they are too
+    ill-conditioned (``nmr._line_pinv``).  C-F couplings of (128, 48, 0.01)
+    Hz at 1 Hz give kappa 141, the default table 1.01 and 300 Hz lines
+    3.2e4.  Shapes and pseudo-inverse are factored once per line table
+    (centres and width) and cached.
     """
     return _line_table(molecule)[0]
 
@@ -170,17 +158,11 @@ def _line_table(molecule: nmr.MoleculeParams) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _factor_lines(centers: tuple[float, ...], width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit line shapes and their SVD pseudo-inverse for one line table, both read-only."""
+    """Unit line shapes and their pseudo-inverse for one line table, both read-only."""
     centers = np.array(centers)
     freqs = np.linspace(centers.min() - 20.0 * width, centers.max() + 20.0 * width, 4096)
     shapes = nmr.lorentzian(freqs[:, None], centers, 1.0, width)
-    u, s, vt = np.linalg.svd(shapes, full_matrices=False)
-    if s[0] > _MAX_CONDITION * s[-1]:
-        kappa = s[0] / s[-1] if s[-1] > 0.0 else np.inf  # equal columns can leave s[-1] exactly 0
-        raise UnresolvedLines(
-            f"carbon line shapes have condition number {kappa:.3g}, above the fit's {_MAX_CONDITION:.3g}"
-        )
-    return _freeze(shapes), _freeze((vt.T / s) @ u.T)
+    return _freeze(shapes), _freeze(nmr._line_pinv(shapes))
 
 
 def _fit_lines(lines: np.ndarray, molecule: nmr.MoleculeParams) -> np.ndarray:

@@ -213,22 +213,25 @@ class TestQft:
         cols = [qc.run_circuit(basis_state(c.n_qubits, i), c).amplitudes for i in range(2**c.n_qubits)]
         return np.array(cols).T
 
+    def qft(self, t):
+        return qc.Circuit(t, qc._qft_gates(t))
+
     def test_single_qubit_qft_is_hadamard(self):
-        assert np.max(np.abs(self.circuit_matrix(qc.qft(1)) - H_MAT)) < 1e-12
+        assert np.max(np.abs(self.circuit_matrix(self.qft(1)) - H_MAT)) < 1e-12
 
     def test_two_qubit_qft_on_zero(self):
-        out = qc.run_circuit(basis_state(2, 0), qc.qft(2))
+        out = qc.run_circuit(basis_state(2, 0), self.qft(2))
         assert np.allclose(out.amplitudes, np.full(4, 0.5), atol=1e-12)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_matrix_matches_dft(self, t):
         # the circuit has no final bit reversal: it is F with its output qubits reversed
         expected = self.bit_reversal(t) @ self.dense_qft(t)
-        assert np.max(np.abs(self.circuit_matrix(qc.qft(t)) - expected)) < 1e-10
+        assert np.max(np.abs(self.circuit_matrix(self.qft(t)) - expected)) < 1e-10
 
     def test_qft_then_inverse(self):
-        m = self.circuit_matrix(qc.qft(2))
-        mi = self.circuit_matrix(inverse_circuit(qc.qft(2)))
+        m = self.circuit_matrix(self.qft(2))
+        mi = self.circuit_matrix(inverse_circuit(self.qft(2)))
         assert np.max(np.abs(mi @ m - np.eye(4))) < 1e-10
 
 
@@ -303,18 +306,35 @@ class TestNoiseChannels:
             assert np.max(np.abs(out - expected)) < 1e-12
             assert abs(np.trace(out) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: qc.Dephasing(t2_star=np.nan, duration=1.0),
+            lambda: qc.Dephasing(t2_star=500.0, duration=np.nan),
+            lambda: qc.Dephasing(t2_star=0.0, duration=1.0),
+            lambda: qc.Dephasing(t2_star=1.0, duration=-0.1),
+            lambda: qc.Dephasing(t2_star=1.0, duration=np.inf),
+            lambda: qc.DepolarizingPulseError(np.nan),
+            lambda: qc.DepolarizingPulseError(1.5),
+        ],
+        ids=["nan_t2_star", "nan_duration", "zero_t2_star", "negative_duration", "inf_duration", "nan_p", "p_above_one"],
+    )
+    def test_rejects_bad_values(self, build):
+        with pytest.raises(ValueError):
+            build()
+
 
 class TestMeasureQubit:
     def test_deterministic_outcome(self):
-        prob, post = qc.measure_qubit(basis_state(1, 0), 0, 0)
+        prob, post = qc.measure_qubit(basis_state(1, 0).density(), 0, 0)
         assert prob == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(post.amplitudes, [1.0, 0.0])
+        assert np.allclose(post.matrix, basis_state(1, 0).density().matrix)
 
     def test_uniform_superposition(self):
         plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        prob, post = qc.measure_qubit(plus, 0, 1)
+        prob, post = qc.measure_qubit(plus.density(), 0, 1)
         assert prob == pytest.approx(0.5, abs=1e-12)
-        assert np.allclose(post.amplitudes, [0.0, 1.0], atol=1e-12)
+        assert np.allclose(post.matrix, basis_state(1, 1).density().matrix, atol=1e-12)
 
     def test_inversion_form_state(self):
         # two-branch state (sqrt(1-c^2/l^2)|0> + (c/l)|1>) per branch, ancilla last
@@ -323,13 +343,17 @@ class TestMeasureQubit:
         for j in range(2):
             amp[2 * j] = betas[j] * np.sqrt(1.0 - (c_tilde / lams[j]) ** 2)
             amp[2 * j + 1] = betas[j] * c_tilde / lams[j]
-        prob, _ = qc.measure_qubit(PureState(amp), 1, 1)
+        prob, _ = qc.measure_qubit(PureState(amp).density(), 1, 1)
         expected = sum(abs(betas[j] * c_tilde / lams[j]) ** 2 for j in range(2))
         assert prob == pytest.approx(expected, abs=1e-12)
 
     def test_zero_probability_branch(self):
         with pytest.raises(ZeroProbabilityBranch):
-            qc.measure_qubit(basis_state(1, 0), 0, 1)
+            qc.measure_qubit(basis_state(1, 0).density(), 0, 1)
+
+    def test_pure_state_rejected(self):
+        with pytest.raises(TypeError):
+            qc.measure_qubit(basis_state(1, 0), 0, 0)
 
     def test_density_matrix_measurement(self):
         plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from hhlsim import hhl, nmr
-from hhlsim.errors import DimensionMismatch, FitDiverged, OutOfCalibrationRange
+from hhlsim.errors import DimensionMismatch, OutOfCalibrationRange, UnresolvedLines
 from hhlsim.qcore import DensityMatrix, basis_state
 
 A_DEMO = np.array([[1.5, 0.5], [0.5, 1.5]])
@@ -115,9 +116,8 @@ class TestSynthesizeSpectrum:
             nmr.synthesize_spectrum(basis_state(3, 0).density())
 
 
-# (center, intensity, width) starts for the two-peak fits, away from the
-# true lines at (0.0, 1.0, 1.0) and (3.0, 0.7, 1.0)
-TWO_PEAK_START = [-1.0, 0.5, 2.0, 4.0, 0.5, 2.0]
+# (center, intensity, width) of two overlapping lines
+TWO_PEAKS = [(0.0, 1.0, 1.0), (3.0, 0.7, 1.0)]
 
 
 class TestLorentzianFit:
@@ -128,74 +128,69 @@ class TestLorentzianFit:
         return np.column_stack([freqs, total])
 
     def test_single_peak_noiseless(self):
-        freqs = np.linspace(-10.0, 10.0, 400)
-        fitted = nmr.lorentzian_fit(self.sample([(1.3, 2.0, 0.8)], freqs), 1, initial=[0.5, 1.0, 2.0])
-        assert fitted[0].center == pytest.approx(1.3, rel=1e-6)
-        assert fitted[0].intensity == pytest.approx(2.0, rel=1e-6)
-        assert fitted[0].width == pytest.approx(0.8, rel=1e-6)
+        fitted = nmr.lorentzian_fit(self.sample([(1.3, 2.0, 0.8)], np.linspace(-10.0, 10.0, 400)), [1.3], 0.8)
+        assert fitted.shape == (1,)
+        assert fitted[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_two_overlapping_peaks(self):
-        freqs = np.linspace(-10.0, 13.0, 600)
-        data = self.sample([(0.0, 1.0, 1.0), (3.0, 0.7, 1.0)], freqs)
-        fitted = nmr.lorentzian_fit(data, 2, initial=TWO_PEAK_START)
-        assert fitted[0].intensity == pytest.approx(1.0, rel=0.01)
-        assert fitted[1].intensity == pytest.approx(0.7, rel=0.01)
+        fitted = nmr.lorentzian_fit(self.sample(TWO_PEAKS, np.linspace(-10.0, 13.0, 600)), [0.0, 3.0], 1.0)
+        assert np.max(np.abs(fitted - [1.0, 0.7])) < 1e-12
 
     def test_peaks_come_back_in_start_order(self):
-        freqs = np.linspace(-10.0, 13.0, 600)
-        data = self.sample([(0.0, 1.0, 1.0), (3.0, 0.7, 1.0)], freqs)
-        fitted = nmr.lorentzian_fit(data, 2, initial=TWO_PEAK_START[3:] + TWO_PEAK_START[:3])
-        assert fitted[0].center == pytest.approx(3.0, abs=1e-6)
-        assert fitted[1].center == pytest.approx(0.0, abs=1e-6)
+        # in the order the centres are given, not sorted by centre
+        fitted = nmr.lorentzian_fit(self.sample(TWO_PEAKS, np.linspace(-10.0, 13.0, 600)), [3.0, 0.0], 1.0)
+        assert np.max(np.abs(fitted - [0.7, 1.0])) < 1e-12
 
     def test_one_percent_noise_ratio(self):
         rng = np.random.default_rng(12)
-        freqs = np.linspace(-10.0, 13.0, 600)
-        data = self.sample([(0.0, 1.0, 1.0), (3.0, 0.7, 1.0)], freqs)
+        data = self.sample(TWO_PEAKS, np.linspace(-10.0, 13.0, 600))
         data[:, 1] += rng.normal(0.0, 0.01, data.shape[0])
-        fitted = nmr.lorentzian_fit(data, 2, initial=TWO_PEAK_START)
-        ratio = fitted[0].intensity / fitted[1].intensity
+        fitted = nmr.lorentzian_fit(data, [0.0, 3.0], 1.0)
+        ratio = fitted[0] / fitted[1]
         assert abs(ratio - 1.0 / 0.7) / (1.0 / 0.7) < 0.03
 
-    @pytest.mark.parametrize(
-        "peaks",
-        [[(0.0, 0.0, 1.0), (3.0, 0.0, 1.0)], [(0.0, 1.0, 1.0), (3.0, 0.7, 1.0)]],
-        ids=["all_zero", "nonzero"],
-    )
-    def test_exact_start_comes_back_unchanged(self, peaks):
-        data = self.sample(peaks, np.linspace(-10.0, 13.0, 600))
-        fitted = nmr.lorentzian_fit(data, 2, initial=np.ravel(peaks))
-        assert [(p.center, p.intensity, p.width) for p in fitted] == peaks
-
-    def test_budget_counts_residual_evaluations(self, monkeypatch):
-        freqs = np.linspace(-10.0, 13.0, 600)
-        data = self.sample([(0.0, 1.0, 1.0), (3.0, 0.7, 1.0)], freqs)
-        monkeypatch.setattr(nmr, "_MAX_ITERATIONS", 3)
-        with pytest.raises(FitDiverged):
-            nmr.lorentzian_fit(data, 2, initial=TWO_PEAK_START)
-
-    def test_too_few_samples_diverges(self):
-        with pytest.raises(FitDiverged):
-            nmr.lorentzian_fit(np.array([[0.0, 1.0], [1.0, 0.5], [2.0, 0.2]]), 2, initial=np.ones(6))
-
-    def test_initial_must_match_peak_count(self):
-        freqs = np.linspace(-10.0, 10.0, 400)
-        with pytest.raises(DimensionMismatch):
-            nmr.lorentzian_fit(self.sample([(1.3, 2.0, 0.8)], freqs), 2, initial=[0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("centers", [[0.0, 0.0], [0.0, 3.0, 3.0]], ids=["pair", "two_of_three"])
+    def test_coinciding_centres_are_unresolved(self, centers):
+        data = self.sample(TWO_PEAKS, np.linspace(-10.0, 13.0, 600))
+        with pytest.raises(UnresolvedLines, match="condition number"):
+            nmr.lorentzian_fit(data, centers, 1.0)
 
     @pytest.mark.parametrize(
         "name, index, value",
-        [("samples", (5, 1), np.nan), ("samples", (5, 0), np.inf), ("initial", 1, np.nan), ("initial", 2, 0.0)],
-        ids=["nan_amplitude", "inf_frequency", "nan_start", "zero_start_width"],
+        [
+            ("samples", (5, 1), np.nan),
+            ("samples", (5, 0), np.inf),
+            ("centers", 0, np.nan),
+            ("width", (), 0.0),
+            ("width", (), -1.0),
+            ("width", (), np.nan),
+        ],
+        ids=["nan_amplitude", "inf_frequency", "nan_start", "zero_start_width", "negative_width", "nan_width"],
     )
     def test_rejects_non_finite_input_and_non_positive_start_width(self, name, index, value):
         inputs = {
             "samples": self.sample([(1.3, 2.0, 0.8)], np.linspace(-10.0, 10.0, 400)),
-            "initial": np.array([0.5, 1.0, 2.0]),
+            "centers": np.array([1.3]),
+            "width": np.array(0.8),
         }
         inputs[name][index] = value
         with pytest.raises(ValueError, match=f"^{name}"):
-            nmr.lorentzian_fit(inputs["samples"], 1, initial=inputs["initial"])
+            nmr.lorentzian_fit(inputs["samples"], inputs["centers"], inputs["width"])
+
+    @pytest.mark.parametrize(
+        "samples, centers",
+        [
+            (np.ones(8), [0.0]),
+            (np.ones((8, 3)), [0.0]),
+            (np.ones((8, 2)), [[0.0, 1.0]]),
+            (np.ones((8, 2)), []),
+            (np.ones((2, 2)), [0.0, 1.0, 2.0]),
+        ],
+        ids=["samples_1d", "samples_three_columns", "centers_2d", "no_centers", "too_few_samples"],
+    )
+    def test_rejects_malformed_input(self, samples, centers):
+        with pytest.raises(DimensionMismatch):
+            nmr.lorentzian_fit(samples, centers, 1.0)
 
     def test_synthesize_then_fit_round_trip(self):
         s = hhl.linear_system(A_DEMO, [1.0, 0.0])
@@ -204,14 +199,9 @@ class TestLorentzianFit:
         spectrum = nmr.synthesize_spectrum(state.density(), molecule)
         centers = np.array([p.center for p in spectrum.peaks])
         freqs = np.linspace(centers.min() - 20.0, centers.max() + 20.0, 4096)
-        data = np.column_stack([freqs, spectrum.sample(freqs)])
-        initial = np.empty(24)
-        initial[0::3] = centers + 0.3
-        initial[1::3] = [0.8 * p.intensity for p in spectrum.peaks]
-        initial[2::3] = 1.5 * molecule.linewidth
-        fitted = nmr.lorentzian_fit(data, 8, initial=initial)
-        for peak, fit in zip(spectrum.peaks, fitted):
-            assert abs(fit.intensity - peak.intensity) < 1e-6
+        fitted = nmr.lorentzian_fit(np.column_stack([freqs, spectrum.sample(freqs)]), centers, molecule.linewidth)
+        expected = [p.intensity for p in spectrum.peaks]
+        assert np.max(np.abs(fitted - expected)) < 1e-12
 
 
 class TestMoleculeParams:
@@ -248,10 +238,25 @@ class TestMoleculeParams:
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # lorentzian_fit imports it on first use; at module level it was most of the import time
+    # scipy is a test dependency only: importing the package loads no scipy module at all
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = "import sys, hhlsim; print('scipy.optimize' in sys.modules)"
+    probe = "import sys, hhlsim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_source_module_imports_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
