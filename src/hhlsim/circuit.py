@@ -307,27 +307,25 @@ def evolve_density(
     n = c.n_qubits
     if rho.n_qubits != n:
         raise WidthMismatch(f"state has {rho.n_qubits} qubits, circuit {n}")
+    # every event is checked before the first gate runs
     by_slot: dict[int, list[NoiseEvent]] = {}
     for ev in noise:
         if not -1 <= ev.after_gate < len(c.gates):
             raise IndexOutOfRange(f"noise event after_gate {ev.after_gate} outside circuit")
+        if not all(0 <= q < n for q in ev.qubits):
+            raise IndexOutOfRange(f"noise event qubits {ev.qubits} outside register")
         by_slot.setdefault(ev.after_gate, []).append(ev)
 
     # channels write in place, so the evolved tensor owns its memory
     tensor = rho.matrix.reshape([2] * (2 * n)).copy()
 
-    def apply_events(slot: int, t: np.ndarray) -> None:
-        for ev in by_slot.get(slot, ()):
+    for i in range(-1, len(c.gates)):
+        if i >= 0:
+            _apply_gate_tensor(tensor, c.gates[i], 0, False)
+            _apply_gate_tensor(tensor, c.gates[i], n, True)
+        for ev in by_slot.get(i, ()):
             for q in ev.qubits:
-                if q < 0 or q >= n:
-                    raise IndexOutOfRange(f"noise event qubit {q} outside register")
-                ev.channel.apply(t, q, n)
-
-    apply_events(-1, tensor)
-    for i, g in enumerate(c.gates):
-        _apply_gate_tensor(tensor, g, 0, False)
-        _apply_gate_tensor(tensor, g, n, True)
-        apply_events(i, tensor)
+                ev.channel.apply(tensor, q, n)
     return qcore._derived_density(tensor.reshape(2**n, 2**n))
 
 

@@ -154,11 +154,8 @@ def cmd_tomography(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
     if theory.n_qubits != 4:
         raise ConfigParseError("tomography needs the 4-qubit layout (2x2 system)")
     builder = _noise_builder(settings)
-    if builder is not None:
-        report = run_hhl(settings.system, settings.solver, noise_builder=builder)
-        rho = _final_density(report)
-    else:
-        rho = theory.density()
+    ideal = theory.density()
+    rho = ideal if builder is None else run_hhl(settings.system, settings.solver, noise_builder=builder).final_density
     tset = settings.tomography
     rng = np.random.default_rng(settings.noise.seed) if tset.noise_sigma > 0.0 else None
     records = tomography.simulate_readout(
@@ -178,7 +175,7 @@ def cmd_tomography(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
     }
     if tset.kind == "full":
         rho_hat = tomography.reconstruct_density(records)
-        payload["fidelity"] = fidelity(rho_hat, theory.density() if builder is not None else rho)
+        payload["fidelity"] = fidelity(rho_hat, ideal)
     else:
         partial = tomography.extract_solution_partial(records)
         c_sq, d_sq = theory.probabilities()[list(tomography.SOLUTION_STATES)]

@@ -63,6 +63,8 @@ def linear_system(a, b, *, normalize: bool = False) -> LinearSystem:
     vec = np.asarray(b, dtype=complex).reshape(-1)
     if vec.size != m.shape[0]:
         raise WidthMismatch(f"matrix {m.shape} incompatible with b of length {vec.size}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("b contains non-finite entries")
     norm = np.linalg.norm(vec)
     if normalize:
         if norm == 0.0:
@@ -293,17 +295,15 @@ def build_circuit(sys: LinearSystem, cfg: SolverConfig) -> Circuit:
 # Ideal final state and metrics
 
 
-def _ideal_final_state(sys: LinearSystem, cfg: SolverConfig) -> PureState:
-    """The pre-measurement output for a resolve_config result ``cfg``."""
-    t, nb = cfg.clock_qubits, sys.n_solution_qubits
+def _ideal_final_state(sys: LinearSystem, cfg: SolverConfig) -> np.ndarray:
+    """The [b | ancilla] amplitudes of the pre-measurement output on clock label 0,
+    where an exact encoding leaves all of it, for a resolve_config result ``cfg``."""
     beta = sys.expansion_coefficients()
     _, sin_part, cos_part = _inversion_rotation(cfg, sys.spectrum.eigenvalues)
     anc = np.stack([cos_part, sin_part], axis=1)
-    # branch j is beta_j |0>_clock |u_j> |anc_j>, summed in eigenvalue order
+    # branch j is beta_j |u_j> |anc_j>, summed in eigenvalue order
     branches = beta[:, None, None] * (sys.spectrum.eigenvectors.T[:, :, None] * anc[:, None, :])
-    amp = np.zeros(2 ** (t + nb + 1), dtype=complex)
-    amp[: 2 ** (nb + 1)] = branches.sum(axis=0).ravel()
-    return PureState(amp)
+    return branches.sum(axis=0).ravel()
 
 
 def theoretical_final_state(sys: LinearSystem, cfg: SolverConfig) -> PureState:
@@ -317,7 +317,8 @@ def theoretical_final_state(sys: LinearSystem, cfg: SolverConfig) -> PureState:
     cfg = resolve_config(sys, cfg)
     if not is_exact_encoding(sys, cfg):
         raise EigenvalueNotEncodable(f"encoded eigenvalues {encoded_eigenvalues(sys, cfg)} are not integers")
-    return _ideal_final_state(sys, cfg)
+    block = _ideal_final_state(sys, cfg)
+    return PureState(np.pad(block, (0, (2**cfg.clock_qubits - 1) * block.size)))
 
 
 def effective_rotation_constant(eigenvalues, r: int) -> float:
@@ -349,7 +350,7 @@ def max_relative_error(x_exp, x_theory) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Post-selected solution and the run's quality metrics."""
+    """Post-selected solution and quality metrics, read alike from either engine's final state (see run_hhl)."""
 
     x_quantum: np.ndarray
     x_classical: np.ndarray
@@ -403,56 +404,56 @@ def run_hhl(
 
     ``noise_builder``, a callable mapping the assembled circuit to a noise
     schedule (so schedules can depend on gate count), routes the run
-    through the density-matrix engine.  Without it the run stays a state
-    vector: only the solution-register density is formed.  x_quantum is
-    the renormalized solution-register state conditioned on ancilla = 1
-    with the clock traced out.  Raises RegisterTooWide before building
-    anything when the final state or the circuit would exceed
-    MAX_STATE_BYTES.
+    through the density-matrix engine; without it the run stays a state
+    vector.  Either final state rho is reduced to four values, and every
+    metric is read from them: the mass on clock label 0, <a|rho|a> for the
+    ideal clock-0 [b | ancilla] block a, Tr rho^2, and the clock-traced
+    [b | ancilla] state, whose ancilla = 1 block gives x_quantum.  Raises
+    RegisterTooWide before building anything when the final state or the
+    circuit would exceed MAX_STATE_BYTES.
     """
     _require_within_budget(sys, cfg, density=noise_builder is not None, circuit=True)
     cfg = resolve_config(sys, cfg)
     c = build_circuit(sys, cfg)
-    t, nb = cfg.clock_qubits, sys.n_solution_qubits
+    t = cfg.clock_qubits
     initial = basis_state(t, 0).tensor(PureState(sys.b)).tensor(basis_state(1, 0))
-    theory = _ideal_final_state(sys, cfg)
+    a = _ideal_final_state(sys, cfg)
 
+    final = final_density = None
     if noise_builder is None:
         final = qcirc.run_circuit(initial, c)
-        clock_mass = final.probabilities().reshape(2**t, -1).sum(axis=1)
-        clock_residual = float(1.0 - clock_mass[0])
-        # the ancilla = 1 branch, renormalized as measure_qubit renormalizes it
-        branch = final.amplitudes.reshape(2**t, 2**nb, 2)[:, :, 1]
-        prob = float(np.sum(np.abs(branch) ** 2))
-        if prob <= qcirc.MIN_BRANCH_PROBABILITY:
-            raise ZeroProbabilityBranch(f"post-selection probability {prob:.3e} below {qcirc.MIN_BRANCH_PROBABILITY:g}")
-        m = branch / np.sqrt(prob)
-        # rows of m are the clock values, so tracing out the clock is m^T conj(m)
-        rho_b = qcore._derived_density(m.T @ m.conj())
-        # qcore.fidelity of the two pure densities, |<a|f>|^2 / (<a|a> <f|f>) clamped to 1
-        a, f = theory.amplitudes, final.amplitudes
-        fid = min(abs(np.vdot(a, f)) ** 2 / (np.vdot(a, a).real * np.vdot(f, f).real), 1.0)
-        final_density = None
+        # rows are the clock labels; a pure state's purity is its squared norm, squared
+        v = final.amplitudes.reshape(2**t, a.size)
+        clock0 = np.sum(np.abs(v[0]) ** 2)
+        overlap = abs(np.vdot(a, v[0])) ** 2
+        purity = np.vdot(v, v).real ** 2
+        sigma = v.T @ v.conj()
     else:
-        rho_final = qcirc.evolve_density(initial.density(), c, noise_builder(c))
-        clock_mass = rho_final.populations().reshape(2**t, -1).sum(axis=1)
-        clock_residual = float(1.0 - clock_mass[0])
-        prob, post_rho = qcirc.measure_qubit(rho_final, c.n_qubits - 1, 1)
-        rho_b = qcore.partial_trace(post_rho, range(t, t + nb))
-        fid = qcore.fidelity(theory.density(), rho_final)
-        final = None
-        final_density = rho_final
+        final_density = qcirc.evolve_density(initial.density(), c, noise_builder(c))
+        r = final_density.matrix.reshape(2**t, a.size, 2**t, a.size)
+        clock0 = np.trace(r[0, :, 0, :]).real
+        overlap = np.vdot(a, r[0, :, 0, :] @ a).real
+        purity = final_density.purity()
+        sigma = np.einsum("kikj->ij", r)
 
+    # the ancilla is the last qubit, so odd indices of sigma hold its ancilla = 1 block
+    branch = sigma[1::2, 1::2]
+    prob = float(np.trace(branch).real)
+    if prob <= qcirc.MIN_BRANCH_PROBABILITY:
+        raise ZeroProbabilityBranch(f"post-selection probability {prob:.3e} below {qcirc.MIN_BRANCH_PROBABILITY:g}")
+    rho_b = qcore._derived_density(branch / prob)
+    # qcore.fidelity against |a><a|, clamped to [0, 1] as there
+    fid = min(max(overlap / (np.vdot(a, a).real * np.sqrt(purity)), 0.0), 1.0)
     x_quantum = canonical_phase(_dominant_vector(rho_b))
     x_classical = reference.direct_solve(sys.a, sys.b)
     x_classical = canonical_phase(x_classical / np.linalg.norm(x_classical))
     return SolveReport(
         x_quantum=x_quantum,
         x_classical=x_classical,
-        success_probability=float(prob),
+        success_probability=prob,
         fidelity_4q=float(fid),
         max_rel_error=max_relative_error(x_quantum, x_classical),
-        clock_residual=clock_residual,
+        clock_residual=float(1.0 - clock0),
         final_state=final,
         final_density=final_density,
         circuit=c,
@@ -505,6 +506,8 @@ def theta_for_target_ratio(sys: LinearSystem, ratio_sq: float) -> float:
         raise WidthMismatch("ratio targeting is defined for 2x2 systems")
     if np.max(np.abs(sys.a.imag)) > 1e-12:
         raise ValueError("ratio targeting assumes a real system matrix")
+    if not 0.0 <= ratio_sq < np.inf:
+        raise ValueError(f"ratio_sq {ratio_sq!r} must be non-negative and finite")
     minv = np.linalg.inv(sys.a.real)
     root = np.sqrt(float(ratio_sq))
     tan_half = (root * minv[1, 0] - minv[0, 0]) / (minv[0, 1] - root * minv[1, 1])

@@ -108,8 +108,8 @@ class Peak:
     label: str = ""
 
     def __post_init__(self):
-        if not np.isfinite(self.center):
-            raise ValueError("peak center must be finite")
+        if not (np.isfinite(self.center) and np.isfinite(self.intensity)):
+            raise ValueError("peak center and intensity must be finite")
         if not (np.isfinite(self.width) and self.width > 0.0):
             raise ValueError("peak width must be positive and finite")
 

@@ -202,8 +202,8 @@ def simulate_readout(
     """
     if rho.n_qubits != _N_QUBITS:
         raise DimensionMismatch("readout simulation expects a 4-qubit state")
-    if noise_sigma < 0.0:
-        raise ValueError(f"noise_sigma {noise_sigma} must be non-negative")
+    if not 0.0 <= noise_sigma < np.inf:
+        raise ValueError(f"noise_sigma {noise_sigma} must be non-negative and finite")
     if noise_sigma > 0.0 and rng is None:
         raise ValueError("noisy readout needs an explicit seeded generator")
     pulses = tuple(pulses)

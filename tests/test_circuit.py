@@ -265,6 +265,23 @@ class TestEvolveDensity:
         out = qc.evolve_density(random_state(rng, 3).density(), c, noise)
         assert abs(np.trace(out.matrix) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("after_gate, qubit", [(1, 5), (1, -1), (2, 0), (-2, 0)])
+    def test_bad_noise_event_raises_before_any_gate(self, monkeypatch, after_gate, qubit):
+        applied = []
+        apply = qc._apply_gate_tensor
+
+        def spy(*args):
+            applied.append(args[1])
+            apply(*args)
+
+        monkeypatch.setattr(qc, "_apply_gate_tensor", spy)
+        c = qc.Circuit(2, (qc.Hadamard(0), qc.Hadamard(1)))
+        channel = qc.Dephasing(t2_star=1.0, duration=0.1)
+        noise = (qc.NoiseEvent(0, (0,), channel), qc.NoiseEvent(after_gate, (qubit,), channel))
+        with pytest.raises(IndexOutOfRange):
+            qc.evolve_density(basis_state(2, 0).density(), c, noise)
+        assert applied == []
+
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

@@ -136,12 +136,13 @@ class TestSolveCommand:
         "command, rest, flags, error",
         [
             ("solve", "b_theta = 7", (), "ConfigParseError"),
+            ("solve", "b = nan 1", (), "ConfigParseError"),
             ("solve", "b = 1 0\n[solver]\nc_tilde = 1.5", ("--mode", "exact"), "ConfigParseError"),
             ("solve", "b = 1 0\n[solver]\nr = 30", (), "ZeroProbabilityBranch"),
             ("tomography", "b = 1 0\n[solver]\nt0 = 6.9", (), "EigenvalueNotEncodable"),
         ],
         ids=[
-            "b_theta_out_of_range", "c_tilde_under_mode_flag", "r_leaves_no_post_selection",
+            "b_theta_out_of_range", "b_not_finite", "c_tilde_under_mode_flag", "r_leaves_no_post_selection",
             "tomography_needs_exact_labels",
         ],
     )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -44,6 +46,16 @@ class TestLinearSystem:
     def test_requires_unit_b(self):
         with pytest.raises(ValueError):
             hhl.linear_system(A_DEMO, [1.0, 1.0])
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("b", [[np.nan, 1.0], [np.inf, 0.0], [1.0, complex(0.0, np.nan)]])
+    def test_rejects_non_finite_b_before_decomposing(self, monkeypatch, normalize, b):
+        def fail(a):
+            raise AssertionError("eigendecomposition reached")
+
+        monkeypatch.setattr(qcore, "eig_hermitian", fail)
+        with pytest.raises(ValueError, match="non-finite"):
+            hhl.linear_system(A_DEMO, b, normalize=normalize)
 
     @pytest.mark.parametrize("dim", [1, 3, 6])
     def test_rejects_sizes_without_a_register(self, dim):
@@ -354,6 +366,35 @@ class TestRunHhl:
         assert report.final_density is not None
         assert abs(np.trace(report.final_density.matrix) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("n_b", [1, 2, 3])
+    def test_noisy_metrics_match_the_density_library(self, monkeypatch, n_b):
+        seen = []
+        dominant = hhl._dominant_vector
+
+        def spy(rho):
+            seen.append(rho.matrix)
+            return dominant(rho)
+
+        def builder(c):
+            return qc.dephasing_schedule(c, 50.0, 500.0) + qc.pulse_error_schedule(c, 0.001)
+
+        monkeypatch.setattr(hhl, "_dominant_vector", spy)
+        rng = np.random.default_rng(70 + n_b)
+        for mode in hhl.ROTATION_MODES:
+            s = encodable_system(rng, 2**n_b)
+            cfg = hhl.resolve_config(s, hhl.SolverConfig(clock_qubits=2, rotation_mode=mode, r=3))
+            report = hhl.run_hhl(s, cfg, noise_builder=builder)
+            rho = report.final_density
+            prob, post = qc.measure_qubit(rho, rho.n_qubits - 1, 1)
+            rho_b = qcore.partial_trace(post, range(2, 2 + n_b))
+            fid = qcore.fidelity(hhl.theoretical_final_state(s, cfg).density(), rho)
+            clock_mass = rho.populations().reshape(4, -1).sum(axis=1)
+            assert abs(report.success_probability - prob) < 1e-12
+            assert abs(report.clock_residual - (1.0 - clock_mass[0])) < 1e-12
+            assert np.max(np.abs(seen.pop() - rho_b.matrix)) < 1e-12
+            assert abs(report.fidelity_4q - fid) < 1e-12
+            assert 0.0 < report.clock_residual and report.fidelity_4q < 1.0
+
 
 class TestPureRunStaysStateVector:
     @pytest.mark.parametrize("mode", hhl.ROTATION_MODES)
@@ -387,6 +428,20 @@ class TestPureRunStaysStateVector:
         report = hhl.run_hhl(s, cfg)
         assert report.fidelity_4q == 1.0
         assert qcore.fidelity(hhl.theoretical_final_state(s, cfg).density(), report.final_state.density()) == 1.0
+
+    def test_sixteen_qubit_run_peaks_under_five_and_a_half_states(self):
+        s = demo_system([0.6, 0.8])
+        cfg = hhl.SolverConfig(clock_qubits=14, rotation_mode="exact")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            hhl.run_hhl(s, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the input, the evolved copy and the gate kernels' transients; the ideal
+        # state is a clock-0 block, not a second full state
+        assert peak <= 5.5 * 16 * 2**16
 
     def test_sixteen_qubit_exact_solve(self):
         s = encodable_system(np.random.default_rng(16), 16)
@@ -592,6 +647,11 @@ class TestSweeps:
 
 
 class TestThetaForTargetRatio:
+    @pytest.mark.parametrize("ratio", [np.nan, np.inf, -1.0])
+    def test_rejects_ratios_without_an_angle(self, ratio):
+        with pytest.raises(ValueError, match="ratio_sq"):
+            hhl.theta_for_target_ratio(demo_system([1.0, 0.0]), ratio)
+
     @pytest.mark.parametrize("target", [0.5, 3.0, 1.0])
     def test_round_trip(self, target):
         s = demo_system([1.0, 0.0])

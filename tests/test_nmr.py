@@ -229,8 +229,13 @@ class TestMoleculeParams:
             lambda: nmr.MoleculeParams(t2_star_ms=(np.nan, 1.0, 1.0, 1.0)),
             lambda: nmr.Peak(0.0, 1.0, np.nan),
             lambda: nmr.Peak(np.nan, 1.0, 1.0),
+            lambda: nmr.Peak(0.0, np.nan, 1.0),
+            lambda: nmr.Peak(0.0, -np.inf, 1.0),
         ],
-        ids=["linewidth", "chemical_shifts", "t2_star", "peak_width", "peak_center"],
+        ids=[
+            "linewidth", "chemical_shifts", "t2_star", "peak_width", "peak_center",
+            "peak_intensity_nan", "peak_intensity_inf",
+        ],
     )
     def test_rejects_non_finite_values(self, build):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Pipeline invariants over random systems of 1 to 3 solution qubits, the
-invariants of engine-built gates and densities, the fitted readout over
+invariants of engine-built gates and densities, the agreement of the two
+engines on a noiseless run, the fitted readout over
 random states and line positions, and a fuzzer over the shipped configs.
 
 Each system is A = Q diag(lambda) Q^dagger with a random unitary Q and
@@ -162,10 +163,28 @@ def test_engine_gates_and_densities_keep_their_invariants(t, data, t0_scale, mod
             reject()  # an exact-mode label below its eigenvalue rotates by 0
         hhl.run_hhl(system, cfg, noise_builder=noise)
     # the pure run's solution-register state; the noisy run's initial state,
-    # evolved state, post-selected state, solution-register state and reference
-    assert len(densities) == 6
+    # evolved state and solution-register state
+    assert len(densities) == 4
     for rho in densities:
         assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-9
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+@PROPERTY_SETTINGS
+@given(st.data(), st.one_of(st.just(1.0), st.floats(0.7, 1.3)), st.sampled_from(hhl.ROTATION_MODES))
+def test_noiseless_density_run_reads_like_the_pure_run(t, data, t0_scale, mode):
+    # both engines' final states go through one readout, so an empty noise
+    # schedule must give the pure run's metrics on and off the label grid
+    system, cfg, _, _ = data.draw(encodable_systems(max_clock_qubits=t, min_clock_qubits=t))
+    try:
+        cfg = hhl.resolve_config(system, replace(cfg, t0=2.0 * np.pi * t0_scale, rotation_mode=mode))
+        pure = hhl.run_hhl(system, cfg)
+    except (EigenvalueNotEncodable, ZeroProbabilityBranch):
+        reject()
+    mixed = hhl.run_hhl(system, cfg, noise_builder=lambda c: [])
+    for name in ("success_probability", "clock_residual", "fidelity_4q"):
+        assert abs(getattr(mixed, name) - getattr(pure, name)) < 1e-12, name
+    assert np.max(np.abs(mixed.x_quantum - pure.x_quantum)) < 1e-12
 
 
 @st.composite

@@ -123,6 +123,12 @@ class TestSimulateReadout:
         with pytest.raises(ValueError):
             tomo.simulate_readout(basis_state(4, 0).density(), tomo.pulse_catalog("partial"), noise_sigma=-0.01)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, sigma):
+        rho, rng = basis_state(4, 0).density(), np.random.default_rng(0)
+        with pytest.raises(ValueError, match="noise_sigma"):
+            tomo.simulate_readout(rho, tomo.pulse_catalog("partial"), noise_sigma=sigma, rng=rng)
+
     def test_noise_requires_generator(self):
         with pytest.raises(ValueError):
             tomo.simulate_readout(basis_state(4, 0).density(), tomo.pulse_catalog("partial"), noise_sigma=0.01)
