@@ -310,10 +310,11 @@ def evolve_density(
     # every event is checked before the first gate runs
     by_slot: dict[int, list[NoiseEvent]] = {}
     for ev in noise:
-        if not -1 <= ev.after_gate < len(c.gates):
-            raise IndexOutOfRange(f"noise event after_gate {ev.after_gate} outside circuit")
-        if not all(0 <= q < n for q in ev.qubits):
-            raise IndexOutOfRange(f"noise event qubits {ev.qubits} outside register")
+        # a fractional slot matches no gate index, so it would silently never apply
+        if not (isinstance(ev.after_gate, (int, np.integer)) and -1 <= ev.after_gate < len(c.gates)):
+            raise IndexOutOfRange(f"noise event after_gate {ev.after_gate!r} is not a gate index of the circuit")
+        if not all(isinstance(q, (int, np.integer)) and 0 <= q < n for q in ev.qubits):
+            raise IndexOutOfRange(f"noise event qubits {ev.qubits} are not qubits of the register")
         by_slot.setdefault(ev.after_gate, []).append(ev)
 
     # channels write in place, so the evolved tensor owns its memory

@@ -2,8 +2,8 @@
 
 The stages: load |b> into the solution register, put the clock register in
 a uniform superposition, run the conditional Hamiltonian evolution and a
-QFT (phase estimation), rotate an ancilla conditioned on the clock
-(eigenvalue inversion), invert the phase estimation (uncompute), and
+QFT (phase estimation), rotate an ancilla by an angle keyed on the clock
+label (eigenvalue inversion), invert the phase estimation (uncompute), and
 post-select the ancilla on |1>.
 
 Register layout is [clock | solution | ancilla] with the clock at qubits
@@ -65,12 +65,15 @@ def linear_system(a, b, *, normalize: bool = False) -> LinearSystem:
         raise WidthMismatch(f"matrix {m.shape} incompatible with b of length {vec.size}")
     if not np.all(np.isfinite(vec)):
         raise ValueError("b contains non-finite entries")
-    norm = np.linalg.norm(vec)
     if normalize:
-        if norm == 0.0:
+        peak = np.max(np.abs(vec))
+        if peak == 0.0:
             raise ValueError("b must be nonzero")
-        vec = vec / norm
-    elif abs(norm - 1.0) > qcore.ATOL_STRUCTURAL:
+        # an exact power-of-two rescale to max|b| in [0.5, 1) keeps the norm clear of
+        # overflow and underflow, and leaves the normalized bits as they were in range
+        vec = np.ldexp(np.ascontiguousarray(vec).view(float), -np.frexp(peak)[1]).view(complex)
+        vec = vec / np.linalg.norm(vec)
+    elif abs((norm := np.linalg.norm(vec)) - 1.0) > qcore.ATOL_STRUCTURAL:
         raise ValueError(f"b must be a unit vector (norm {norm!r}); pass normalize=True to rescale")
     spectrum = qcore.eig_hermitian(m)
     lam_min = float(spectrum.eigenvalues.min())
@@ -131,14 +134,15 @@ def prepare_b(theta: float) -> PureState:
     return PureState(np.array([np.cos(theta / 2.0), np.sin(theta / 2.0)], dtype=complex))
 
 
-def encoded_eigenvalues(sys: LinearSystem, cfg: SolverConfig) -> np.ndarray:
-    """Clock labels lambda_j * t0 / (2*pi) the phase estimation writes."""
-    return sys.spectrum.eigenvalues * cfg.t0 / TWO_PI
+def _clock_labels(sys: LinearSystem, cfg: SolverConfig) -> tuple[np.ndarray, bool]:
+    """Nearest clock labels of the eigenvalues, and whether all of them are exact.
 
-
-def is_exact_encoding(sys: LinearSystem, cfg: SolverConfig) -> bool:
-    k = encoded_eigenvalues(sys, cfg)
-    return bool(np.all(np.abs(k - np.round(k)) <= ENCODING_ATOL))
+    Phase estimation writes eigenvalue lambda_j as label lambda_j * t0 / (2*pi);
+    a label within ENCODING_ATOL of an integer counts as exactly encoded.
+    """
+    k = sys.spectrum.eigenvalues * cfg.t0 / TWO_PI
+    nearest = np.round(k)
+    return nearest, bool(np.all(np.abs(k - nearest) <= ENCODING_ATOL))
 
 
 def _require_within_budget(sys: LinearSystem, cfg: SolverConfig, *, density: bool, circuit: bool) -> None:
@@ -205,45 +209,32 @@ def _inversion_rotation(cfg: SolverConfig, lam):
     return 2.0 * np.arcsin(clipped), sin_half, np.sqrt(1.0 - clipped**2)
 
 
-def eigenvalue_inversion_gates(cfg: SolverConfig, n_solution_qubits: int = 1) -> list[Gate]:
-    """The paper's linear-mode inversion: one controlled Ry per clock qubit.
+def _inversion_gates(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
+    """The ancilla rotation keyed on the clock label, from one label -> angle table.
 
-    Phase estimation leaves label k least significant bit first, so on a
-    two-qubit clock labels k in {1, 2} read most significant bit first as
-    m = 2/k: the relabelling |k> -> |2/k> the paper performs with a clock
-    swap.  theta = (2*pi/2^r)/lambda is linear in m, so per-bit rotations
-    weighted by place value sum to it.  Labels other than 1 and 2 are not
-    inverted, so build_circuit takes this path only when per_bit_path_available
-    and the MultiplexedRy of _general_inversion_gates otherwise.
-    """
-    if cfg.rotation_mode != "linear":
-        raise ValueError("the per-bit inversion is linear-mode only")
-    t = cfg.clock_qubits
-    # read MSB first, qubit q has place value m = 2^(t-1-q): the eigenvalue encoded as 2/m
-    theta, _, _ = _inversion_rotation(cfg, 2.0 * TWO_PI / (cfg.t0 * 2.0 ** (t - 1 - np.arange(t))))
-    ancilla = (t + n_solution_qubits,)
-    return [qcirc._derived_gate(ControlledUnitary, ((q, 1),), ancilla, qcore.rotation_y(theta[q])) for q in range(t)]
+    Label k >= 1 stands for the eigenvalue 2*pi*k/t0.  Label 0, and a label
+    whose c_tilde/lambda exceeds 1 by more than ENCODING_ATOL (it carries no
+    amplitude), gets angle 0; within that tolerance an eigenvalue above its
+    label keeps its clipped rotation.
 
-
-def _general_inversion_gates(cfg: SolverConfig, n_solution_qubits: int) -> list[Gate]:
-    """One Ry on the ancilla keyed on the clock label, for any (approximately) encoded spectrum.
-
-    Label 0, and a label whose c_tilde/lambda exceeds 1 by more than
-    ENCODING_ATOL (it carries no amplitude), gets angle 0; within that
-    tolerance an eigenvalue above its label keeps its clipped rotation.
+    Phase estimation leaves label k least significant bit first, so label
+    2^q sets only clock qubit q.  In linear mode on a two-qubit clock whose
+    labels are exactly 1 and 2 this gives the paper's circuit: one
+    controlled Ry per clock qubit, qubit q rotating by the angle of label
+    2^q (the paper reaches the same labels with a clock swap, |k> -> |2/k>).
+    Every other case gets one MultiplexedRy carrying the whole table.
     """
     t = cfg.clock_qubits
+    ancilla = t + sys.n_solution_qubits
     theta, sin_half, _ = _inversion_rotation(cfg, TWO_PI * np.arange(1, 2**t) / cfg.t0)
     angles = np.concatenate(([0.0], np.where(sin_half > 1.0 + ENCODING_ATOL, 0.0, theta)))
-    return [qcirc._derived_gate(MultiplexedRy, tuple(range(t)), t + n_solution_qubits, angles)]
-
-
-def per_bit_path_available(sys: LinearSystem, cfg: SolverConfig) -> bool:
-    """Whether the paper's per-bit inversion (eigenvalue_inversion_gates) applies."""
-    if cfg.rotation_mode != "linear" or cfg.clock_qubits != 2 or not is_exact_encoding(sys, cfg):
-        return False
-    labels = np.round(encoded_eigenvalues(sys, cfg)).astype(int)
-    return bool(np.all(np.isin(labels, (1, 2))))
+    labels, exact = _clock_labels(sys, cfg)
+    if cfg.rotation_mode == "linear" and t == 2 and exact and np.all(np.isin(labels, (1, 2))):
+        return [
+            qcirc._derived_gate(ControlledUnitary, ((q, 1),), (ancilla,), qcore.rotation_y(angles[2**q]))
+            for q in range(t)
+        ]
+    return [qcirc._derived_gate(MultiplexedRy, tuple(range(t)), ancilla, angles)]
 
 
 def resolve_config(sys: LinearSystem, cfg: SolverConfig) -> SolverConfig:
@@ -259,13 +250,10 @@ def resolve_config(sys: LinearSystem, cfg: SolverConfig) -> SolverConfig:
         if cfg.c_tilde is None or cfg.c_tilde > lam_min:
             # clamp the tolerated excess so c_tilde/lambda <= 1 on every eigenvalue
             cfg = replace(cfg, c_tilde=lam_min)
-    k = encoded_eigenvalues(sys, cfg)
+    labels, _ = _clock_labels(sys, cfg)
     top = 2**cfg.clock_qubits - 1
-    nearest = np.round(k)
-    if np.any(nearest < 1) or np.any(nearest > top):
-        raise EigenvalueNotEncodable(
-            f"encoded eigenvalues {k} must round into 1..{top} on {cfg.clock_qubits} clock qubits"
-        )
+    if np.any(labels < 1) or np.any(labels > top):
+        raise EigenvalueNotEncodable(f"clock labels {labels} of the eigenvalues lie outside 1..{top} at t0 = {cfg.t0}")
     return cfg
 
 
@@ -278,11 +266,7 @@ def build_circuit(sys: LinearSystem, cfg: SolverConfig) -> Circuit:
     t, nb = cfg.clock_qubits, sys.n_solution_qubits
     n = t + nb + 1
     qpe = _qpe_gates(sys, cfg)
-    if per_bit_path_available(sys, cfg):
-        inversion = eigenvalue_inversion_gates(cfg, nb)
-    else:
-        inversion = _general_inversion_gates(cfg, nb)
-    gates = qpe + inversion + [qcirc.gate_inverse(g) for g in reversed(qpe)]
+    gates = qpe + _inversion_gates(sys, cfg) + [qcirc.gate_inverse(g) for g in reversed(qpe)]
     registers = {
         "clock": tuple(range(t)),
         "b": tuple(range(t, t + nb)),
@@ -315,8 +299,9 @@ def theoretical_final_state(sys: LinearSystem, cfg: SolverConfig) -> PureState:
     """
     _require_within_budget(sys, cfg, density=False, circuit=False)
     cfg = resolve_config(sys, cfg)
-    if not is_exact_encoding(sys, cfg):
-        raise EigenvalueNotEncodable(f"encoded eigenvalues {encoded_eigenvalues(sys, cfg)} are not integers")
+    labels, exact = _clock_labels(sys, cfg)
+    if not exact:
+        raise EigenvalueNotEncodable(f"eigenvalues lie off their clock labels {labels} at t0 = {cfg.t0}")
     block = _ideal_final_state(sys, cfg)
     return PureState(np.pad(block, (0, (2**cfg.clock_qubits - 1) * block.size)))
 

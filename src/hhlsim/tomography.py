@@ -196,9 +196,11 @@ def simulate_readout(
     drawn per pulse in the order given.  ``fit_via_spectrum`` renders every
     record's line amplitudes as carbon spectra at the molecule's line
     centres and width (default ``nmr.MoleculeParams()``) and fits the line
-    intensities back with the line table's cached pseudo-inverse,
-    exercising the measurement chain; see ``fit_grid`` for which line
-    tables it accepts.
+    intensities back with the line table's cached pseudo-inverse; see
+    ``fit_grid`` for which line tables it accepts.  That round trip is an
+    identity to rounding (within 3e-15 on the shipped configs' states) and
+    the readout noise is added after it, so its one effect beyond rounding
+    is the UnresolvedLines check.
     """
     if rho.n_qubits != _N_QUBITS:
         raise DimensionMismatch("readout simulation expects a 4-qubit state")

@@ -265,7 +265,7 @@ class TestEvolveDensity:
         out = qc.evolve_density(random_state(rng, 3).density(), c, noise)
         assert abs(np.trace(out.matrix) - 1.0) < 1e-10
 
-    @pytest.mark.parametrize("after_gate, qubit", [(1, 5), (1, -1), (2, 0), (-2, 0)])
+    @pytest.mark.parametrize("after_gate, qubit", [(1, 5), (1, -1), (2, 0), (-2, 0), (0.5, 0), (0, 0.0)])
     def test_bad_noise_event_raises_before_any_gate(self, monkeypatch, after_gate, qubit):
         applied = []
         apply = qc._apply_gate_tensor

@@ -152,6 +152,15 @@ class TestSolveCommand:
         assert run_cli([command, "--config", config, "--out", tmp_path / "o", *flags]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == error
 
+    @pytest.mark.parametrize(
+        "b, unit", [("1e308 1e308", [0.5**0.5, 0.5**0.5]), ("1e-320 0", [1.0, 0.0])], ids=["huge", "subnormal"]
+    )
+    def test_b_at_the_ends_of_the_float_range_is_normalized(self, tmp_path, b, unit):
+        config = tmp_path / "b.ini"
+        config.write_text(f"[system]\nmatrix = 1.5 0.5 ; 0.5 1.5\nb = {b}\n")
+        assert np.allclose(load_config(config).system.b, unit, rtol=0.0, atol=1e-15)
+        assert run_cli(["solve", "--config", config, "--out", tmp_path / "o"]) == 0
+
     def test_missing_noise_section_reads_like_an_empty_one(self, tmp_path):
         reports = []
         for name, extra in (("absent", ""), ("empty", "[noise]\n")):

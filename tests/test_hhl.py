@@ -57,6 +57,12 @@ class TestLinearSystem:
         with pytest.raises(ValueError, match="non-finite"):
             hhl.linear_system(A_DEMO, b, normalize=normalize)
 
+    def test_normalize_keeps_the_bits_of_a_plain_division_in_range(self):
+        rng = np.random.default_rng(5)
+        scales = 10.0 ** rng.integers(-100, 100, size=(50, 1))
+        for b in (rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))) * scales:
+            assert np.array_equal(hhl.linear_system(np.eye(4), b, normalize=True).b, b / np.linalg.norm(b))
+
     @pytest.mark.parametrize("dim", [1, 3, 6])
     def test_rejects_sizes_without_a_register(self, dim):
         with pytest.raises(DimensionMismatch):
@@ -163,6 +169,14 @@ def inversion_angles(circuit):
     return rotation.angles
 
 
+def label_table(cfg):
+    """The inversion's label -> angle table on a two-qubit clock, read off the
+    label-keyed rotation of a system on labels {1, 3}, which the per-bit
+    circuit cannot invert."""
+    (rotation,) = hhl._inversion_gates(hhl.linear_system(np.diag([1.0, 3.0]), [1.0, 0.0]), cfg)
+    return rotation.angles
+
+
 def phase_estimate(s, b):
     """Phase estimation of the demo system on |00>_clock (x) |b>."""
     initial = basis_state(2, 0).tensor(PureState(b))
@@ -195,7 +209,8 @@ class TestInversionGates:
         return qc.run_circuit(state, qc.Circuit(4, tuple(gates)))
 
     def test_linear_mode_amplitudes(self):
-        gates = hhl.eigenvalue_inversion_gates(hhl.SolverConfig(rotation_mode="linear", r=2))
+        s = demo_system([1.0, 0.0])
+        gates = hhl._inversion_gates(s, hhl.resolve_config(s, hhl.SolverConfig(rotation_mode="linear", r=2)))
         # clock |10> = label 1 = eigenvalue 1: theta = pi/2, amplitude sin(pi/4)
         out = self.apply_branch(gates, 0b10)
         anc1 = np.linalg.norm(out.amplitudes.reshape(8, 2)[:, 1])
@@ -206,14 +221,40 @@ class TestInversionGates:
         assert anc1 == pytest.approx(np.sin(np.pi / 8.0), abs=1e-12)
 
     def test_exact_mode_amplitudes(self):
-        cfg = hhl.SolverConfig(rotation_mode="exact", c_tilde=1.0)
-        with pytest.raises(ValueError):
-            hhl.eigenvalue_inversion_gates(cfg)
-        gates = hhl._general_inversion_gates(cfg, 1)
+        s = demo_system([1.0, 0.0])
+        gates = hhl._inversion_gates(s, hhl.SolverConfig(rotation_mode="exact", c_tilde=1.0))
+        # the per-bit circuit is linear-mode only: exact mode keys every label
+        assert [type(g) for g in gates] == [qc.MultiplexedRy]
         out = self.apply_branch(gates, lsb_first(1))
         assert np.linalg.norm(out.amplitudes.reshape(8, 2)[:, 1]) == pytest.approx(1.0, abs=1e-12)
         out = self.apply_branch(gates, lsb_first(2))
         assert np.linalg.norm(out.amplitudes.reshape(8, 2)[:, 1]) == pytest.approx(0.5, abs=1e-12)
+
+    def test_linear_demo_gets_one_controlled_ry_per_clock_qubit(self):
+        s = demo_system([1.0, 0.0])
+        cfg = hhl.resolve_config(s, hhl.SolverConfig(rotation_mode="linear"))
+        table = label_table(cfg)
+        gates = hhl._inversion_gates(s, cfg)
+        assert [type(g) for g in gates] == [qc.ControlledUnitary, qc.ControlledUnitary]
+        # label 2^q sets only clock qubit q
+        for q, gate in enumerate(gates):
+            assert gate.controls == ((q, 1),)
+            assert np.array_equal(gate.matrix, qcore.rotation_y(table[2**q]))
+
+    @pytest.mark.parametrize(
+        "a, kwargs",
+        [
+            (A_DEMO, {"rotation_mode": "exact"}),
+            (A_DEMO, {"rotation_mode": "linear", "clock_qubits": 3}),
+            (np.diag([1.0, 3.0]), {"rotation_mode": "linear"}),
+        ],
+        ids=["exact", "linear-t3", "linear-labels-1-3"],
+    )
+    def test_other_cases_get_one_label_keyed_rotation(self, a, kwargs):
+        s = hhl.linear_system(a, [1.0, 0.0])
+        gates = hhl._inversion_gates(s, hhl.resolve_config(s, hhl.SolverConfig(**kwargs)))
+        assert [type(g) for g in gates] == [qc.MultiplexedRy]
+        assert gates[0].angles.shape == (2 ** kwargs.get("clock_qubits", 2),)
 
     def test_qft_without_bit_reversal_relabels_clock(self):
         s = demo_system([1.0, 0.0])
@@ -237,10 +278,10 @@ class TestInversionGates:
     def test_swap_and_label_keyed_paths_agree(self, mode, r):
         s = demo_system([1.0, 0.0])
         cfg = hhl.resolve_config(s, hhl.SolverConfig(rotation_mode=mode, r=r))
-        keyed = hhl._general_inversion_gates(cfg, 1)
+        keyed = [qc.MultiplexedRy((0, 1), 3, label_table(cfg))]
+        per_bit = hhl._inversion_gates(s, cfg)
         # the paper's per-bit path is linear-mode only; exact mode keys every label
-        assert hhl.per_bit_path_available(s, cfg) == (mode == "linear")
-        per_bit = hhl.eigenvalue_inversion_gates(cfg) if mode == "linear" else keyed
+        assert isinstance(per_bit[0], qc.ControlledUnitary) == (mode == "linear")
         # eigenvalues 1 and 2 are encoded on clock labels 1 and 2
         for j, label in enumerate((1, 2)):
             idx = lsb_first(label)
