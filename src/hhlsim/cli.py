@@ -68,7 +68,7 @@ def _apply_overrides(settings: RunSettings, args) -> RunSettings:
 
 
 def _molecule(settings: RunSettings) -> nmr.MoleculeParams:
-    return settings.molecule if settings.molecule is not None else nmr.MoleculeParams()
+    return settings.molecule if settings.molecule is not None else nmr.DEFAULT_MOLECULE
 
 
 def _noise_builder(settings: RunSettings):

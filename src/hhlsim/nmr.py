@@ -77,6 +77,11 @@ class MoleculeParams:
         object.__setattr__(self, "t2_star_ms", t2)
 
 
+# The default register, built and checked once; frozen with read-only arrays,
+# so every caller shares it.
+DEFAULT_MOLECULE = MoleculeParams()
+
+
 def pps_state(epsilon: float) -> DensityMatrix:
     """Pseudo-pure state (1 - eps)/16 * I + eps |0000><0000|."""
     if not 0.0 <= epsilon <= 1.0:
@@ -161,7 +166,7 @@ def synthesize_spectrum(rho: DensityMatrix, params: MoleculeParams | None = None
     couplings, widths from the configured linewidth.
     """
     if params is None:
-        params = MoleculeParams()
+        params = DEFAULT_MOLECULE
     if rho.n_qubits != 4:
         raise DimensionMismatch("carbon spectrum synthesis expects a 4-qubit state")
     pops = rho.populations()

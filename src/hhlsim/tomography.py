@@ -119,7 +119,10 @@ class MeasurementRecord:
 
     ``populations`` is the post-pulse diagonal (sums to one);
     ``peak_amplitudes`` holds the eight complex carbon line amplitudes
-    2<i|rho'|i+8>, indexed by the fluorine bit pattern i.
+    2<i|rho'|i+8>, indexed by the fluorine bit pattern i.  The constructor
+    is the boundary for records from outside the program: values must be
+    finite and populations non-negative to ``ATOL_STRUCTURAL`` (see
+    ``_derived_record`` for the records ``simulate_readout`` makes).
     """
 
     pulse: str
@@ -131,10 +134,25 @@ class MeasurementRecord:
         peaks = np.asarray(self.peak_amplitudes, dtype=complex)
         if pops.shape != (_DIM,) or peaks.shape != (8,):
             raise DimensionMismatch("record needs 16 populations and 8 peak amplitudes")
+        if not (np.all(np.isfinite(pops)) and np.all(np.isfinite(peaks))):
+            raise ValueError("record populations and peak amplitudes must be finite")
+        if pops.min() < -qcore.ATOL_STRUCTURAL:
+            raise ValueError(f"population {pops.min()!r} is negative")
         if abs(pops.sum() - 1.0) > qcore.ATOL_STRUCTURAL:
             raise ValueError(f"populations sum to {pops.sum()!r}, not 1")
         object.__setattr__(self, "populations", _freeze(pops))
         object.__setattr__(self, "peak_amplitudes", _freeze(peaks))
+
+
+def _derived_record(pulse: str, populations: np.ndarray, peaks: np.ndarray) -> MeasurementRecord:
+    """The MeasurementRecord of a simulated readout, with no ``__post_init__``:
+    ``simulate_readout`` makes it from a checked state and unitary pulses, and
+    passes read-only float64 and complex128 rows of blocks it froze once."""
+    rec = object.__new__(MeasurementRecord)
+    object.__setattr__(rec, "pulse", pulse)
+    object.__setattr__(rec, "populations", populations)
+    object.__setattr__(rec, "peak_amplitudes", peaks)
+    return rec
 
 
 def fit_grid(molecule: nmr.MoleculeParams) -> np.ndarray:
@@ -146,8 +164,8 @@ def fit_grid(molecule: nmr.MoleculeParams) -> np.ndarray:
     of these columns, which raises UnresolvedLines when they are too
     ill-conditioned (``nmr._line_pinv``).  C-F couplings of (128, 48, 0.01)
     Hz at 1 Hz give kappa 141, the default table 1.01 and 300 Hz lines
-    3.2e4.  Shapes and pseudo-inverse are factored once per line table
-    (centres and width) and cached.
+    3.2e4.  The shapes and one 8x8 line transfer are factored once per line
+    table (centres and width) and cached.
     """
     return _line_table(molecule)[0]
 
@@ -158,25 +176,27 @@ def _line_table(molecule: nmr.MoleculeParams) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _factor_lines(centers: tuple[float, ...], width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit line shapes and their pseudo-inverse for one line table, both read-only."""
+    """Unit line shapes of one line table and their 8x8 line transfer
+    ``pinv @ shapes`` (render, then fit), both read-only."""
     centers = np.array(centers)
     freqs = np.linspace(centers.min() - 20.0 * width, centers.max() + 20.0 * width, 4096)
     shapes = nmr.lorentzian(freqs[:, None], centers, 1.0, width)
-    return _freeze(shapes), _freeze(nmr._line_pinv(shapes))
+    return _freeze(shapes), _freeze(nmr._line_pinv(shapes) @ shapes)
 
 
 def _fit_lines(lines: np.ndarray, molecule: nmr.MoleculeParams) -> np.ndarray:
     """Round-trip (n, 8) complex line amplitudes through rendered spectra.
 
-    The real and imaginary line sets of all n records are rendered as
-    ``shapes @ V`` and their intensities recovered by one product with the
-    line table's cached pseudo-inverse (``fit_grid``).  An all-zero set
-    comes back as +0.0, never -0.0, so a fitted ``records.json`` prints no
-    negative zeros.
+    Rendering the real and imaginary line sets V of all n records as
+    ``shapes @ V`` and fitting their intensities back with the shapes'
+    pseudo-inverse is linear, so it is one product with the line table's
+    cached 8x8 line transfer ``pinv @ shapes`` (``fit_grid``); no spectrum
+    is rendered.  An all-zero set comes back as +0.0, never -0.0, so a
+    fitted ``records.json`` prints no negative zeros.
     """
-    shapes, pinv = _line_table(molecule)
+    transfer = _line_table(molecule)[1]
     n = len(lines)
-    fitted = (pinv @ (shapes @ np.concatenate([lines.real, lines.imag]).T)).T + 0.0
+    fitted = (transfer @ np.concatenate([lines.real, lines.imag]).T).T + 0.0
     return fitted[:n] + 1j * fitted[n:]
 
 
@@ -193,14 +213,16 @@ def simulate_readout(
 
     ``noise_sigma`` adds seeded Gaussian noise to the peak amplitudes (the
     physically detected quantities; populations stay exact diagnostics),
-    drawn per pulse in the order given.  ``fit_via_spectrum`` renders every
-    record's line amplitudes as carbon spectra at the molecule's line
-    centres and width (default ``nmr.MoleculeParams()``) and fits the line
-    intensities back with the line table's cached pseudo-inverse; see
+    drawn per pulse in the order given, real parts then imaginary parts.
+    ``fit_via_spectrum`` renders every record's line amplitudes as carbon
+    spectra at the molecule's line centres and width (default
+    ``nmr.DEFAULT_MOLECULE``) and fits the line intensities back, as one
+    product with the line table's cached 8x8 line transfer; see
     ``fit_grid`` for which line tables it accepts.  That round trip is an
     identity to rounding (within 3e-15 on the shipped configs' states) and
     the readout noise is added after it, so its one effect beyond rounding
-    is the UnresolvedLines check.
+    is the UnresolvedLines check.  The records are derived from the checked
+    state, so none runs ``MeasurementRecord``'s checks.
     """
     if rho.n_qubits != _N_QUBITS:
         raise DimensionMismatch("readout simulation expects a 4-qubit state")
@@ -211,16 +233,15 @@ def simulate_readout(
     pulses = tuple(pulses)
     ops = np.array([p.operator for p in pulses], dtype=complex).reshape(-1, _DIM, _DIM)
     rho_p = ops @ rho.matrix @ ops.conj().transpose(0, 2, 1)
-    pops = np.real(np.diagonal(rho_p, axis1=1, axis2=2))
+    pops = _freeze(np.real(np.diagonal(rho_p, axis1=1, axis2=2)))
     lines = 2.0 * np.diagonal(rho_p, 8, axis1=1, axis2=2)
     if fit_via_spectrum:
-        lines = _fit_lines(lines, molecule if molecule is not None else nmr.MoleculeParams())
-    records = []
-    for pulse, p, peaks in zip(pulses, pops, lines):
-        if noise_sigma > 0.0:
-            peaks = peaks + rng.normal(0.0, noise_sigma, 8) + 1j * rng.normal(0.0, noise_sigma, 8)
-        records.append(MeasurementRecord(pulse=pulse.name, populations=p, peak_amplitudes=peaks))
-    return records
+        lines = _fit_lines(lines, molecule if molecule is not None else nmr.DEFAULT_MOLECULE)
+    if noise_sigma > 0.0:
+        noise = rng.normal(0.0, noise_sigma, (len(pulses), 2, 8))
+        lines = lines + noise[:, 0] + 1j * noise[:, 1]
+    lines = _freeze(lines)
+    return [_derived_record(pulse.name, p, peaks) for pulse, p, peaks in zip(pulses, pops, lines)]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +321,9 @@ def reconstruct_density(records) -> DensityMatrix:
     """Least-squares inversion of a complete full-catalog record set.
 
     The raw estimate is projected to the nearest valid state: eigenvalues
-    clipped at zero and the trace renormalized.
+    clipped at zero and the trace renormalized.  The projection is positive
+    by construction, so the result is a derived density with no eigenvalue
+    check (``qcore._derived_density``); the records are the input boundary.
     """
     peaks = np.array([rec.peak_amplitudes for rec in _in_catalog_order(records, FULL_CATALOG_NAMES)])
     observations = np.append(np.stack([peaks.real, peaks.imag], axis=-1).ravel(), 1.0)
@@ -310,7 +333,7 @@ def reconstruct_density(records) -> DensityMatrix:
     if w.sum() <= 0.0:
         raise HhlsimError("reconstruction produced an all-zero state")
     projected = (v * (w / w.sum())) @ v.conj().T
-    return DensityMatrix(projected)
+    return qcore._derived_density(projected)
 
 
 def records_to_json(records) -> dict:

@@ -119,6 +119,41 @@ class TestSimulateReadout:
             assert rec.peak_amplitudes.tobytes() == expected.tobytes()
             assert rec.populations.tobytes() == exact.populations.tobytes()
 
+    def test_fitted_readout_noise_is_drawn_per_pulse_after_the_fit(self):
+        rho = random_pure_density(np.random.default_rng(23))
+        pulses = tomo.pulse_catalog("partial")
+        rng = np.random.default_rng(24)
+        noisy = tomo.simulate_readout(rho, pulses, noise_sigma=0.02, rng=rng, fit_via_spectrum=True)
+        rng = np.random.default_rng(24)
+        for rec, fitted in zip(noisy, tomo.simulate_readout(rho, pulses, fit_via_spectrum=True)):
+            expected = fitted.peak_amplitudes + rng.normal(0.0, 0.02, 8) + 1j * rng.normal(0.0, 0.02, 8)
+            assert rec.peak_amplitudes.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"fit_via_spectrum": True}, {"noise_sigma": 0.01, "rng": np.random.default_rng(25)}],
+        ids=["exact", "fitted", "noisy"],
+    )
+    def test_records_are_derived_without_checks(self, monkeypatch, kwargs):
+        checks = []
+        post_init = tomo.MeasurementRecord.__post_init__
+
+        def counted(rec):
+            checks.append(rec.pulse)
+            post_init(rec)
+
+        monkeypatch.setattr(tomo.MeasurementRecord, "__post_init__", counted)
+        rho = random_pure_density(np.random.default_rng(26))
+        records = tomo.simulate_readout(rho, tomo.pulse_catalog("full"), **kwargs)
+        assert checks == []
+        for rec in records:
+            for values, dtype in ((rec.populations, np.float64), (rec.peak_amplitudes, np.complex128)):
+                assert values.dtype == dtype
+                assert values.flags.c_contiguous and not values.flags.writeable
+        first = records[0]
+        tomo.MeasurementRecord(pulse=first.pulse, populations=first.populations, peak_amplitudes=first.peak_amplitudes)
+        assert checks == [first.pulse]
+
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             tomo.simulate_readout(basis_state(4, 0).density(), tomo.pulse_catalog("partial"), noise_sigma=-0.01)
@@ -160,6 +195,45 @@ class TestSimulateReadout:
         fitted = tomo.simulate_readout(rho, tomo.pulse_catalog("partial"), fit_via_spectrum=True, molecule=molecule)
         for a, b in zip(exact, fitted):
             assert np.max(np.abs(a.peak_amplitudes - b.peak_amplitudes)) < 1e-9
+
+
+class TestMeasurementRecord:
+    @staticmethod
+    def values():
+        pops = np.zeros(16)
+        pops[0] = 1.0
+        return pops, np.zeros(8, dtype=complex)
+
+    def test_checked_record_is_read_only(self):
+        pops, peaks = self.values()
+        rec = tomo.MeasurementRecord(pulse="EEEE", populations=list(pops), peak_amplitudes=list(peaks))
+        assert rec.populations.dtype == np.float64 and rec.peak_amplitudes.dtype == np.complex128
+        assert not rec.populations.flags.writeable and not rec.peak_amplitudes.flags.writeable
+
+    @pytest.mark.parametrize("bad", ["nan_peak", "inf_peak", "nan_population", "negative_population"])
+    def test_rejects_impossible_values(self, bad):
+        pops, peaks = self.values()
+        if bad == "nan_peak":
+            peaks[3] = complex(np.nan, 0.0)
+        elif bad == "inf_peak":
+            peaks[0] = complex(0.0, np.inf)
+        elif bad == "nan_population":
+            pops[5] = np.nan
+        else:
+            pops[0], pops[1] = 2.0, -1.0
+        with pytest.raises(ValueError, match="finite|negative"):
+            tomo.MeasurementRecord(pulse="EEEE", populations=pops, peak_amplitudes=peaks)
+
+    def test_rounding_below_zero_is_admitted(self):
+        pops, peaks = self.values()
+        pops[1] = -0.5 * qcore.ATOL_STRUCTURAL
+        tomo.MeasurementRecord(pulse="EEEE", populations=pops, peak_amplitudes=peaks)
+
+    def test_rejects_populations_off_one(self):
+        pops, peaks = self.values()
+        pops[1] = 1e-6
+        with pytest.raises(ValueError, match="sum to"):
+            tomo.MeasurementRecord(pulse="EEEE", populations=pops, peak_amplitudes=peaks)
 
 
 class TestReconstruction:
@@ -273,6 +347,42 @@ class TestReconstruction:
         for table in tomo._line_table(nmr.MoleculeParams()):
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
+
+    def test_fit_is_the_rendered_spectra_fitted_back(self):
+        rng = np.random.default_rng(27)
+        for molecule in (nmr.DEFAULT_MOLECULE, nmr.MoleculeParams(linewidth=3.0)):
+            shapes = tomo.fit_grid(molecule)
+            pinv = nmr._line_pinv(shapes)
+            for n in (1, 5, 44):
+                lines = rng.uniform(-1.0, 1.0, (n, 8)) + 1j * rng.uniform(-1.0, 1.0, (n, 8))
+                v = np.concatenate([lines.real, lines.imag]).T
+                rendered = (pinv @ (shapes @ v)).T
+                expected = rendered[:n] + 1j * rendered[n:]
+                assert np.max(np.abs(tomo._fit_lines(lines, molecule) - expected)) < 1e-14
+
+    def test_cached_line_transfer_is_the_identity_to_rounding(self):
+        transfer = tomo._line_table(nmr.DEFAULT_MOLECULE)[1]
+        assert transfer.shape == (8, 8)
+        assert np.max(np.abs(transfer - np.eye(8))) < 1e-13
+        with pytest.raises(ValueError):
+            transfer[0, 0] = 1.0
+
+    def test_reconstruction_runs_no_eigenvalue_check(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        rho = random_mixed_density(np.random.default_rng(28))
+        records = tomo.simulate_readout(rho, tomo.pulse_catalog("full"), fit_via_spectrum=True)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        rho_hat = tomo.reconstruct_density(records)
+        assert calls == []
+        assert np.max(np.abs(rho_hat.matrix - rho.matrix)) < 1e-12
+        DensityMatrix(rho_hat.matrix)
+        assert calls == [(16, 16)]
 
     def test_fit_grid_samples_unit_lines(self):
         molecule = nmr.MoleculeParams(linewidth=3.0)

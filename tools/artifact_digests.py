@@ -2,10 +2,15 @@
 
 The runs are the four CLI commands on each shipped config, ``solve`` and
 ``sweep`` again with ``--mode linear`` and with ``--mode exact`` (40 in
-all), and the five demos.  Each runs in its own directory under a
-temporary one, against this checkout's ``src/``.  For each run the listing
-has one line per artifact file, then one line each for stdout, stderr and
-the exit code::
+all), and the five demos; then the four commands again with ``--noise on``
+on each config, and ``tomography`` on experiments 1 to 3 with
+``fit_peaks = on`` (23 more), which reach the noise switch and the fitted
+readout that the shipped configs leave off.  Each runs in its own
+directory under a temporary one, against this checkout's ``src/``; a
+``fit_peaks = on`` run first writes its rewritten copy of the config there
+(``fit_peaks.ini``, listed with the artifacts), and the shipped configs
+stay untouched.  For each run the listing has one line per artifact file,
+then one line each for stdout, stderr and the exit code::
 
     <run> <artifact> <sha256>
     <run> stdout <sha256>
@@ -34,19 +39,37 @@ CONFIGS = ("experiment1", "experiment2", "experiment3", "b10_exact", "noisy")
 COMMANDS = ("solve", "sweep", "tomography", "spectrum")
 
 
-def runs() -> list[tuple[str, list[str]]]:
-    """(run name, argv after the interpreter) for every run, in listing order."""
+FIT_CONFIGS = ("experiment1", "experiment2", "experiment3")
+FIT_CONFIG = "fit_peaks.ini"
+
+
+def _cli(command: str, config: str, *extra: str) -> list[str]:
+    return ["-m", "hhlsim.cli", command, "--config", config, "--out", ".", *extra]
+
+
+def runs() -> list[tuple[str, list[str], str | None]]:
+    """(run name, argv after the interpreter, text of a config to write into
+    the run directory or None) for every run, in listing order."""
     out = []
     for config in CONFIGS:
         path = str(ROOT / "configs" / f"{config}.ini")
         for command in COMMANDS:
-            out.append((f"{command}-{config}", ["-m", "hhlsim.cli", command, "--config", path, "--out", "."]))
+            out.append((f"{command}-{config}", _cli(command, path), None))
         for mode in ("linear", "exact"):
             for command in ("solve", "sweep"):
-                argv = ["-m", "hhlsim.cli", command, "--config", path, "--out", ".", "--mode", mode]
-                out.append((f"{command}-{config}-{mode}", argv))
+                out.append((f"{command}-{config}-{mode}", _cli(command, path, "--mode", mode), None))
     for demo in sorted((ROOT / "demos").glob("*.py")):
-        out.append((f"demo-{demo.stem}", [str(demo)]))
+        out.append((f"demo-{demo.stem}", [str(demo)], None))
+    for config in CONFIGS:
+        path = str(ROOT / "configs" / f"{config}.ini")
+        for command in COMMANDS:
+            out.append((f"{command}-{config}-noise", _cli(command, path, "--noise", "on"), None))
+    for config in FIT_CONFIGS:
+        text = (ROOT / "configs" / f"{config}.ini").read_text(encoding="utf-8")
+        if text.count("fit_peaks = off") != 1:
+            raise SystemExit(f"{config}.ini: expected one 'fit_peaks = off' line to switch on")
+        fitted = text.replace("fit_peaks = off", "fit_peaks = on")
+        out.append((f"tomography-{config}-fit", _cli("tomography", FIT_CONFIG), fitted))
     return out
 
 
@@ -54,9 +77,12 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_run(name: str, argv: list[str], workdir: Path) -> list[str]:
-    """Run one invocation in ``workdir`` and list its digests."""
+def digest_run(name: str, argv: list[str], workdir: Path, config_text: str | None = None) -> list[str]:
+    """Run one invocation in ``workdir`` (after writing ``config_text``, if
+    any, there as ``FIT_CONFIG``) and list its digests."""
     workdir.mkdir(parents=True)
+    if config_text is not None:
+        (workdir / FIT_CONFIG).write_text(config_text, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
     done = subprocess.run([sys.executable, *argv], cwd=workdir, env=env, capture_output=True, check=False)
     files = sorted(p for p in workdir.rglob("*") if p.is_file())
@@ -75,8 +101,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         base = args.keep if args.keep is not None else Path(tmp)
-        for name, run_argv in runs():
-            print("\n".join(digest_run(name, run_argv, base / name)), flush=True)
+        for name, run_argv, config_text in runs():
+            print("\n".join(digest_run(name, run_argv, base / name, config_text)), flush=True)
     return 0
 
 
