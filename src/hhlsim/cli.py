@@ -21,7 +21,7 @@ from . import circuit as qcirc
 from .config import RunSettings, load_config
 from .errors import ConfigParseError, EigenvalueNotEncodable, RegisterTooWide, ZeroProbabilityBranch
 from .hhl import resolve_config, run_hhl, sweep_r, sweep_t0, theoretical_final_state
-from .qcore import fidelity
+from .qcore import fidelity, mass_ratio
 
 
 @cache
@@ -131,9 +131,9 @@ def cmd_sweep(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
     sweep = sweep_r if settings.sweep.parameter == "r" else sweep_t0
     rows = sweep(settings.system, settings.sweep.values, settings.solver, noise_builder=_noise_builder(settings))
     lines = ["parameter,value,max_rel_error,success_probability"]
-    lines.extend(
-        f"{row.parameter},{row.value!r},{row.max_rel_error!r},{row.success_probability!r}" for row in rows
-    )
+    for row in rows:
+        error = "" if row.max_rel_error is None else repr(row.max_rel_error)  # undefined: an empty field
+        lines.append(f"{row.parameter},{row.value!r},{error},{row.success_probability!r}")
     _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
     payload = {
         "parameter": settings.sweep.parameter,
@@ -158,20 +158,13 @@ def cmd_tomography(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
     rho = ideal if builder is None else run_hhl(settings.system, settings.solver, noise_builder=builder).final_density
     tset = settings.tomography
     rng = np.random.default_rng(settings.noise.seed) if tset.noise_sigma > 0.0 else None
-    records = tomography.simulate_readout(
-        rho,
-        tomography.pulse_catalog(tset.kind),
-        noise_sigma=tset.noise_sigma,
-        rng=rng,
-        fit_via_spectrum=tset.fit_peaks,
-        molecule=settings.molecule,
-    )
+    pulses = tomography.pulse_catalog(tset.kind)
+    records = tomography.simulate_readout(rho, pulses, noise_sigma=tset.noise_sigma, rng=rng)
     _write_json(out / "records.json", tomography.records_to_json(records))
     payload: dict = {
         "kind": tset.kind,
         "noise_enabled": settings.noise.enabled,
         "noise_sigma": tset.noise_sigma,
-        "fit_peaks": tset.fit_peaks,
     }
     if tset.kind == "full":
         rho_hat = tomography.reconstruct_density(records)
@@ -185,7 +178,7 @@ def cmd_tomography(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
                 "d_sq": partial.d_sq,
                 "phase_sign": partial.phase_sign,
                 "ratio": partial.ratio,
-                "solve_ratio": float(c_sq / d_sq) if d_sq != 0.0 else None,
+                "solve_ratio": mass_ratio(c_sq, d_sq),
             }
         )
     _write_json(out / "tomography_report.json", payload)
@@ -222,6 +215,12 @@ _COMMANDS = {
 }
 
 
+# Exit 2: the config itself, or problems it causes that show only while running
+# (tomography needs an exact encoding, and a post-selection with no mass means r
+# is too large for the spectrum).  Any other failure exits 1.
+_CONFIG_ERRORS = (ConfigParseError, RegisterTooWide, EigenvalueNotEncodable, ZeroProbabilityBranch)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -240,17 +239,9 @@ def main(argv=None) -> int:
         _write_json(out / "manifest.json", manifest)
         print(json.dumps(payload, sort_keys=True, allow_nan=False))
         return 0
-    # config problems found only while running: tomography needs an exact encoding,
-    # and a post-selection with no mass means r is too large for the spectrum
-    except (ConfigParseError, RegisterTooWide, EigenvalueNotEncodable, ZeroProbabilityBranch) as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}), file=sys.stderr)
-        return 2
     except Exception as exc:  # every failure leaves a structured payload
-        print(
-            json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-            file=sys.stderr,
-        )
-        return 1
+        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}), file=sys.stderr)
+        return 2 if isinstance(exc, _CONFIG_ERRORS) else 1
 
 
 if __name__ == "__main__":

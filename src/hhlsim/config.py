@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nmr, tomography
+from . import nmr
 from .errors import ConfigParseError, HhlsimError
 from .hhl import LinearSystem, SolverConfig, linear_system, prepare_b
 
@@ -81,7 +81,6 @@ _KEYS = {
     "tomography": {
         "kind": ("kind", _word),
         "noise_sigma": ("noise_sigma", float),
-        "fit_peaks": ("fit_peaks", _switch),
     },
 }
 
@@ -137,7 +136,6 @@ class NoiseSettings:
 class TomographySettings:
     kind: str = "full"
     noise_sigma: float = 0.0
-    fit_peaks: bool = False
 
     def __post_init__(self):
         if self.kind not in ("full", "partial"):
@@ -199,7 +197,7 @@ def load_config(path) -> RunSettings:
     except configparser.Error as exc:
         raise ConfigParseError(f"malformed config: {exc}") from exc
     _reject_unknown_keys(parser)
-    settings = RunSettings(
+    return RunSettings(
         system=_load_system(parser),
         solver=_load(parser, "solver", SolverConfig),
         noise=_load(parser, "noise", NoiseSettings),
@@ -208,9 +206,3 @@ def load_config(path) -> RunSettings:
         tomography=_load(parser, "tomography", TomographySettings),
         raw_text=text,
     )
-    if settings.tomography.fit_peaks and settings.molecule is not None:
-        try:
-            tomography.fit_grid(settings.molecule)
-        except HhlsimError as exc:
-            raise ConfigParseError(f"fit_peaks = on: {exc}") from exc
-    return settings

@@ -58,11 +58,7 @@ class InsufficientRecords(HhlsimError):
 
 
 class SubspaceMassTooSmall(HhlsimError):
-    """Solution subspace carries too little probability to report a ratio."""
-
-
-class ZeroReferenceComponent(HhlsimError):
-    """Relative error undefined: a reference component is zero."""
+    """Solution subspace carries too little probability to read a solution from."""
 
 
 class RegisterTooWide(HhlsimError):

@@ -28,7 +28,6 @@ from .errors import (
     RegisterTooWide,
     WidthMismatch,
     ZeroProbabilityBranch,
-    ZeroReferenceComponent,
 )
 from .qcore import DensityMatrix, PureState, Spectrum, basis_state, canonical_phase
 
@@ -317,19 +316,20 @@ def effective_rotation_constant(eigenvalues, r: int) -> float:
     return float(np.mean(lam * sin_half))
 
 
-def max_relative_error(x_exp, x_theory) -> float:
+def max_relative_error(x_exp, x_theory) -> float | None:
     """max_i |x_exp_i - x_theory_i| / |x_theory_i| after phase alignment.
 
     Both vectors are canonicalized (first significant component made real
-    positive) before comparison; no normalization is applied.
+    positive) before comparison; no normalization is applied.  None when a
+    reference component is zero by ``qcore.ZERO_SHARE`` of |x_theory|^2.
     """
     e = canonical_phase(x_exp)
     th = canonical_phase(x_theory)
     if e.size != th.size:
         raise WidthMismatch(f"length mismatch: {e.size} vs {th.size}")
-    scale = np.max(np.abs(th))
-    if scale == 0.0 or np.any(np.abs(th) < 1e-15 * scale):
-        raise ZeroReferenceComponent("reference vector has a zero component")
+    mass = np.abs(th) ** 2
+    if np.any(mass <= qcore.ZERO_SHARE * mass.sum()):
+        return None
     return float(np.max(np.abs(e - th) / np.abs(th)))
 
 
@@ -341,7 +341,7 @@ class SolveReport:
     x_classical: np.ndarray
     success_probability: float
     fidelity_4q: float
-    max_rel_error: float
+    max_rel_error: float | None
     clock_residual: float
     final_state: PureState | None = None
     final_density: DensityMatrix | None = None
@@ -349,10 +349,10 @@ class SolveReport:
 
     @property
     def solution_ratio_sq(self) -> float | None:
-        """|x_1 / x_2|^2 for two-component solutions with x_2 != 0 (None otherwise)."""
-        if len(self.x_quantum) != 2 or abs(self.x_quantum[1]) == 0.0:
+        """|x_1 / x_2|^2 for two-component solutions (None otherwise, or when undefined: qcore.mass_ratio)."""
+        if len(self.x_quantum) != 2:
             return None
-        return float(abs(self.x_quantum[0]) ** 2 / abs(self.x_quantum[1]) ** 2)
+        return qcore.mass_ratio(abs(self.x_quantum[0]) ** 2, abs(self.x_quantum[1]) ** 2)
 
     def to_dict(self) -> dict:
         out = {
@@ -453,7 +453,7 @@ def run_hhl(
 class SweepRow:
     parameter: str
     value: float
-    max_rel_error: float
+    max_rel_error: float | None
     success_probability: float
 
 

@@ -257,6 +257,15 @@ def rotation_x(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
+ZERO_SHARE = 1e-10  # rounding leaves an exact zero at about 1e-16 of the total
+
+
+def mass_ratio(num: float, den: float) -> float | None:
+    """num / den for non-negative masses, or None (JSON null) when den is zero: at
+    most ``ZERO_SHARE`` of num + den.  Every ratio and relative error uses this rule."""
+    return float(num / den) if den > ZERO_SHARE * (num + den) else None
+
+
 def canonical_phase(vec) -> np.ndarray:
     """Rotate a global phase so the first significant amplitude is real positive.
 

@@ -155,48 +155,34 @@ def _derived_record(pulse: str, populations: np.ndarray, peaks: np.ndarray) -> M
     return rec
 
 
-def fit_grid(molecule: nmr.MoleculeParams) -> np.ndarray:
-    """The (4096, 8) unit-intensity line shapes of a fitted readout (read-only).
+@lru_cache(maxsize=None)
+def _line_transfer() -> np.ndarray:
+    """The read-only 8x8 line transfer ``pinv @ shapes`` (render, then fit) of
+    ``nmr.DEFAULT_MOLECULE``'s line table.
 
-    Column j is carbon line j at the molecule's centre and width, sampled on
-    a 4096-point grid spanning the centres with 20 linewidths to spare.  A
-    fitted readout recovers the line intensities through the pseudo-inverse
-    of these columns, which raises UnresolvedLines when they are too
-    ill-conditioned (``nmr._line_pinv``).  C-F couplings of (128, 48, 0.01)
-    Hz at 1 Hz give kappa 141, the default table 1.01 and 300 Hz lines
-    3.2e4.  The shapes and one 8x8 line transfer are factored once per line
-    table (centres and width) and cached.
+    Column j of ``shapes`` is carbon line j at unit intensity, sampled on a
+    4096-point grid spanning the line centres with 20 linewidths to spare;
+    ``pinv`` is their pseudo-inverse (``nmr._line_pinv``, condition number
+    1.01 here).  Factored once per process.
     """
-    return _line_table(molecule)[0]
-
-
-def _line_table(molecule: nmr.MoleculeParams) -> tuple[np.ndarray, np.ndarray]:
-    return _factor_lines(tuple(nmr.carbon_peak_positions(molecule).tolist()), float(molecule.linewidth))
-
-
-@lru_cache(maxsize=8)
-def _factor_lines(centers: tuple[float, ...], width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit line shapes of one line table and their 8x8 line transfer
-    ``pinv @ shapes`` (render, then fit), both read-only."""
-    centers = np.array(centers)
+    centers = nmr.carbon_peak_positions(nmr.DEFAULT_MOLECULE)
+    width = nmr.DEFAULT_MOLECULE.linewidth
     freqs = np.linspace(centers.min() - 20.0 * width, centers.max() + 20.0 * width, 4096)
     shapes = nmr.lorentzian(freqs[:, None], centers, 1.0, width)
-    return _freeze(shapes), _freeze(nmr._line_pinv(shapes) @ shapes)
+    return _freeze(nmr._line_pinv(shapes) @ shapes)
 
 
-def _fit_lines(lines: np.ndarray, molecule: nmr.MoleculeParams) -> np.ndarray:
+def _fit_lines(lines: np.ndarray) -> np.ndarray:
     """Round-trip (n, 8) complex line amplitudes through rendered spectra.
 
     Rendering the real and imaginary line sets V of all n records as
     ``shapes @ V`` and fitting their intensities back with the shapes'
-    pseudo-inverse is linear, so it is one product with the line table's
-    cached 8x8 line transfer ``pinv @ shapes`` (``fit_grid``); no spectrum
-    is rendered.  An all-zero set comes back as +0.0, never -0.0, so a
-    fitted ``records.json`` prints no negative zeros.
+    pseudo-inverse is linear, so it is one product with the cached
+    ``_line_transfer``; no spectrum is rendered.  An all-zero set comes back
+    as +0.0, never -0.0, so fitted records hold no negative zeros.
     """
-    transfer = _line_table(molecule)[1]
     n = len(lines)
-    fitted = (transfer @ np.concatenate([lines.real, lines.imag]).T).T + 0.0
+    fitted = (_line_transfer() @ np.concatenate([lines.real, lines.imag]).T).T + 0.0
     return fitted[:n] + 1j * fitted[n:]
 
 
@@ -207,7 +193,6 @@ def simulate_readout(
     noise_sigma: float = 0.0,
     rng: np.random.Generator | None = None,
     fit_via_spectrum: bool = False,
-    molecule: nmr.MoleculeParams | None = None,
 ) -> list[MeasurementRecord]:
     """Apply every pulse as one batched ``u @ rho @ u^dagger`` and collect the records.
 
@@ -215,13 +200,11 @@ def simulate_readout(
     physically detected quantities; populations stay exact diagnostics),
     drawn per pulse in the order given, real parts then imaginary parts.
     ``fit_via_spectrum`` renders every record's line amplitudes as carbon
-    spectra at the molecule's line centres and width (default
-    ``nmr.DEFAULT_MOLECULE``) and fits the line intensities back, as one
-    product with the line table's cached 8x8 line transfer; see
-    ``fit_grid`` for which line tables it accepts.  That round trip is an
-    identity to rounding (within 3e-15 on the shipped configs' states) and
-    the readout noise is added after it, so its one effect beyond rounding
-    is the UnresolvedLines check.  The records are derived from the checked
+    spectra of ``nmr.DEFAULT_MOLECULE`` and fits the line intensities back
+    (``_fit_lines``).  That round trip is an identity to rounding (within
+    3e-15 on the shipped configs' states) and the readout noise is added
+    after it, so no CLI command uses it; it stays for the benchmark's
+    ``readout_fit`` workload.  The records are derived from the checked
     state, so none runs ``MeasurementRecord``'s checks.
     """
     if rho.n_qubits != _N_QUBITS:
@@ -236,7 +219,7 @@ def simulate_readout(
     pops = _freeze(np.real(np.diagonal(rho_p, axis1=1, axis2=2)))
     lines = 2.0 * np.diagonal(rho_p, 8, axis1=1, axis2=2)
     if fit_via_spectrum:
-        lines = _fit_lines(lines, molecule if molecule is not None else nmr.DEFAULT_MOLECULE)
+        lines = _fit_lines(lines)
     if noise_sigma > 0.0:
         noise = rng.normal(0.0, noise_sigma, (len(pulses), 2, 8))
         lines = lines + noise[:, 0] + 1j * noise[:, 1]
@@ -366,11 +349,9 @@ class PartialSolution:
     populations: np.ndarray
 
     @property
-    def ratio(self) -> float:
-        """|c/d|^2; undefined when the d branch carries no mass."""
-        if self.d_sq < 1e-10:
-            raise SubspaceMassTooSmall(f"|d|^2 = {self.d_sq:.3e} too small for a ratio")
-        return self.c_sq / self.d_sq
+    def ratio(self) -> float | None:
+        """|c/d|^2; None when the d branch carries no mass (``qcore.mass_ratio``)."""
+        return qcore.mass_ratio(self.c_sq, self.d_sq)
 
 
 def _partial_design() -> np.ndarray:

@@ -394,33 +394,24 @@ class TestTomographyCommand:
         assert run_cli(["tomography", "--config", CONFIG_DIR / "experiment3.ini", "--out", tmp_path / "o"]) == 0
         assert len(calls) == 1
 
-    @pytest.mark.parametrize(
-        "command, fit_peaks, code", [("tomography", "on", 2), ("tomography", "off", 0), ("spectrum", "off", 0)]
-    )
-    def test_fit_needs_resolved_lines(self, tmp_path, capsys, command, fit_peaks, code):
+    def test_fit_peaks_is_an_unknown_key(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
-        config.write_text(
-            BASIC_CONFIG + "[molecule]\nj_couplings = 0 0 0 0 ; 0 0 0 0 ; 0 0 0 0 ; 0 0 0 0\n"
-            f"[tomography]\nfit_peaks = {fit_peaks}\n"
-        )
-        assert run_cli([command, "--config", config, "--out", tmp_path / "o"]) == code
-        if code == 2:
-            err = json.loads(capsys.readouterr().err)
-            assert err["error"]["type"] == "ConfigParseError"
-            assert "fit_peaks" in err["error"]["message"]
+        config.write_text(BASIC_CONFIG + "[tomography]\nfit_peaks = on\n")
+        assert run_cli(["tomography", "--config", config, "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ConfigParseError", "message": "unknown key(s) in [tomography]: fit_peaks"}
 
-    def test_fit_needs_well_conditioned_lines(self, tmp_path, capsys):
-        # lines 0.08 Hz apart at 8 Hz: each gap exceeds the grid step, but the
-        # line shapes have condition number 1.6e11
+    def test_unresolvable_lines_need_no_fit(self, tmp_path):
+        # lines 0.08 Hz apart at 8 Hz (condition number 1.6e11) stop only a
+        # spectrum fit; no command fits lines, so the readout runs
         config = tmp_path / "run.ini"
         config.write_text(
             BASIC_CONFIG + "[molecule]\nj_couplings = 0 0.32 0.16 0.08 ; 0.32 0 0 0 ; 0.16 0 0 0 ; 0.08 0 0 0\n"
-            "linewidth = 8\n[tomography]\nfit_peaks = on\n"
+            "linewidth = 8\n[tomography]\nkind = full\n"
         )
-        assert run_cli(["tomography", "--config", config, "--out", tmp_path / "o"]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "ConfigParseError"
-        assert "condition number" in err["error"]["message"]
+        out = tmp_path / "o"
+        assert run_cli(["tomography", "--config", config, "--out", out]) == 0
+        assert read_json(out / "tomography_report.json")["fidelity"] == pytest.approx(1.0, abs=1e-9)
 
     def test_stochastic_readout_requires_seed(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
@@ -454,6 +445,45 @@ class TestSpectrumCommand:
         assert run_cli(["spectrum", "--config", CONFIG_DIR / "experiment3.ini", "--out", out]) == 0
         by_label = {p["label"]: p["intensity"] for p in read_json(out / "spectrum_peaks.json")["peaks"]}
         assert by_label["p1-p9"] / by_label["p3-p11"] == pytest.approx(1.0, abs=1e-9)
+
+
+# x = A^-1 b is (1, 0) or (0, 1): one reference component is zero, so the relative
+# error is undefined, and so is |x1/x2|^2 when x2 is the zero one
+ZERO_COMPONENT_CASES = [("1.5 0.5", None), ("0.5 1.5", 0.0)]
+
+
+class TestZeroSolutionComponent:
+    @staticmethod
+    def run(tmp_path, command, b):
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[system]\nmatrix = 1.5 0.5 ; 0.5 1.5\nb = {b}\n[solver]\nmode = exact\n"
+            "[sweep]\nparameter = r\nvalues = 2 3\n[tomography]\nkind = partial\n"
+        )
+        out = tmp_path / "o"
+        assert run_cli([command, "--config", config, "--out", out]) == 0
+        return out
+
+    @pytest.mark.parametrize("b, ratio", ZERO_COMPONENT_CASES)
+    def test_solve(self, tmp_path, b, ratio):
+        report = read_json(self.run(tmp_path, "solve", b) / "solve_report.json")
+        assert report["max_rel_error"] is None
+        assert report["solution_ratio_sq"] == (None if ratio is None else pytest.approx(ratio, abs=1e-30))
+        assert report["fidelity_4q"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("b, ratio", ZERO_COMPONENT_CASES)
+    def test_sweep(self, tmp_path, capsys, b, ratio):
+        lines = (self.run(tmp_path, "sweep", b) / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[2] for line in lines[1:]] == ["", ""]
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["max_rel_error"] for row in rows] == [None, None]
+
+    @pytest.mark.parametrize("b, ratio", ZERO_COMPONENT_CASES)
+    def test_tomography(self, tmp_path, b, ratio):
+        report = read_json(self.run(tmp_path, "tomography", b) / "tomography_report.json")
+        for key in ("ratio", "solve_ratio"):
+            assert report[key] == (None if ratio is None else pytest.approx(ratio, abs=1e-15))
+        assert report["c_sq"] + report["d_sq"] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_module_entry_point_runs_without_warning():

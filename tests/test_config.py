@@ -45,7 +45,6 @@ CHANGED = {
     ("sweep", "values"): "1 3",
     ("tomography", "kind"): "partial",
     ("tomography", "noise_sigma"): "0.01",
-    ("tomography", "fit_peaks"): "on",
 }
 
 

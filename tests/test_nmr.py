@@ -203,6 +203,45 @@ class TestLorentzianFit:
         expected = [p.intensity for p in spectrum.peaks]
         assert np.max(np.abs(fitted - expected)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "c_f, linewidth, condition",
+        [
+            ((0.0, 0.0, 0.0), 1.0, None),
+            ((128.0, 48.0, 0.0), 1.0, None),
+            ((128.0, 48.0, 1e-6), 1.0, 1.4e6),
+            ((128.0, 48.0, 0.01), 1.0, 141.0),
+            ((1.0, 48.0, -12.0), 1.0, 1.74),
+            ((128.0, 48.0, -12.0), 300.0, 3.2e4),
+            ((2.0, 1.0, 0.5), 8.0, 4.8e5),
+            ((0.32, 0.16, 0.08), 8.0, 1.6e11),
+        ],
+        ids=[
+            "all_coincide", "pairs_coincide", "1e-6_hz", "0.01_hz", "1_hz", "300_hz_lines", "8_hz_lines", "0.08_hz_at_8"
+        ],
+    )
+    def test_condition_number_decides(self, c_f, linewidth, condition):
+        # eight carbon lines on the 4096-point grid above, with 20 linewidths to
+        # spare: only the shapes' condition number decides.  Coinciding lines
+        # (5e47 and 1.1e16) and lines 0.08 Hz apart at 8 Hz (1.6e11, where an
+        # unchecked fit erred by 9e-8) are rejected; lines 1e-6 Hz apart, well
+        # inside the grid step, and 300 Hz lines that all overlap still fit
+        # within 1e-9, each line on its own peak
+        j = np.array(nmr._DEFAULT_J)
+        j[0, 1:] = j[1:, 0] = c_f
+        centers = nmr.carbon_peak_positions(nmr.MoleculeParams(j_couplings=j, linewidth=linewidth))
+        freqs = np.linspace(centers.min() - 20.0 * linewidth, centers.max() + 20.0 * linewidth, 4096)
+        shapes = nmr.lorentzian(freqs[:, None], centers, 1.0, linewidth)
+        intensities = np.random.default_rng(8).uniform(-1.0, 1.0, 8)
+        samples = np.column_stack([freqs, shapes @ intensities])
+        if condition is None or condition > nmr._MAX_CONDITION:
+            with pytest.raises(UnresolvedLines, match="condition number"):
+                nmr.lorentzian_fit(samples, centers, linewidth)
+        else:
+            assert np.max(np.abs(nmr.lorentzian_fit(samples, centers, linewidth) - intensities)) < 1e-9
+        if condition is not None:
+            s = np.linalg.svd(shapes, compute_uv=False)
+            assert s[0] / s[-1] == pytest.approx(condition, rel=0.02)
+
 
 class TestMoleculeParams:
     def test_rejects_asymmetric_couplings(self):

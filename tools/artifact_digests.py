@@ -3,23 +3,24 @@
 The runs are the four CLI commands on each shipped config, ``solve`` and
 ``sweep`` again with ``--mode linear`` and with ``--mode exact`` (40 in
 all), and the five demos; then the four commands again with ``--noise on``
-on each config, and ``tomography`` on experiments 1 to 3 with
-``fit_peaks = on`` (23 more), which reach the noise switch and the fitted
-readout that the shipped configs leave off.  Each runs in its own
-directory under a temporary one, against this checkout's ``src/``; a
-``fit_peaks = on`` run first writes its rewritten copy of the config there
-(``fit_peaks.ini``, listed with the artifacts), and the shipped configs
-stay untouched.  For each run the listing has one line per artifact file,
-then one line each for stdout, stderr and the exit code::
+on each config (20 more), which reach the noise switch that the shipped
+configs leave off.  Each runs in its own directory under a temporary one,
+against this checkout's ``src/``.  The listing's first line names the numpy
+version it was made with; then, for each run, it has one line per artifact
+file, then one line each for stdout, stderr and the exit code::
 
+    numpy <version>
     <run> <artifact> <sha256>
     <run> stdout <sha256>
     <run> stderr <sha256>
     <run> exit <code>
 
-Diff the listings of two checkouts to see which bytes a change moved::
+``tools/artifact_digests.txt`` is the listing of the committed tree, and
+``tests/test_artifact_digests.py`` reruns its CLI runs in one process
+against it.  A change that moves bytes on purpose rewrites it in the same
+diff; diff the listings of two checkouts to see which bytes a change moved::
 
-    python3 tools/artifact_digests.py > after.txt
+    python3 tools/artifact_digests.py > tools/artifact_digests.txt
     python3 tools/artifact_digests.py --keep outputs/   # also keep the files
 
 """
@@ -34,42 +35,34 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
+LISTING = ROOT / "tools" / "artifact_digests.txt"
 CONFIGS = ("experiment1", "experiment2", "experiment3", "b10_exact", "noisy")
 COMMANDS = ("solve", "sweep", "tomography", "spectrum")
-
-
-FIT_CONFIGS = ("experiment1", "experiment2", "experiment3")
-FIT_CONFIG = "fit_peaks.ini"
+CLI = ["-m", "hhlsim.cli"]
 
 
 def _cli(command: str, config: str, *extra: str) -> list[str]:
-    return ["-m", "hhlsim.cli", command, "--config", config, "--out", ".", *extra]
+    return [*CLI, command, "--config", str(ROOT / "configs" / f"{config}.ini"), "--out", ".", *extra]
 
 
-def runs() -> list[tuple[str, list[str], str | None]]:
-    """(run name, argv after the interpreter, text of a config to write into
-    the run directory or None) for every run, in listing order."""
+def runs() -> list[tuple[str, list[str]]]:
+    """(run name, argv after the interpreter) for every run, in listing order;
+    a CLI run's argv starts with ``CLI`` and writes into the working directory."""
     out = []
     for config in CONFIGS:
-        path = str(ROOT / "configs" / f"{config}.ini")
         for command in COMMANDS:
-            out.append((f"{command}-{config}", _cli(command, path), None))
+            out.append((f"{command}-{config}", _cli(command, config)))
         for mode in ("linear", "exact"):
             for command in ("solve", "sweep"):
-                out.append((f"{command}-{config}-{mode}", _cli(command, path, "--mode", mode), None))
+                out.append((f"{command}-{config}-{mode}", _cli(command, config, "--mode", mode)))
     for demo in sorted((ROOT / "demos").glob("*.py")):
-        out.append((f"demo-{demo.stem}", [str(demo)], None))
+        out.append((f"demo-{demo.stem}", [str(demo)]))
     for config in CONFIGS:
-        path = str(ROOT / "configs" / f"{config}.ini")
         for command in COMMANDS:
-            out.append((f"{command}-{config}-noise", _cli(command, path, "--noise", "on"), None))
-    for config in FIT_CONFIGS:
-        text = (ROOT / "configs" / f"{config}.ini").read_text(encoding="utf-8")
-        if text.count("fit_peaks = off") != 1:
-            raise SystemExit(f"{config}.ini: expected one 'fit_peaks = off' line to switch on")
-        fitted = text.replace("fit_peaks = off", "fit_peaks = on")
-        out.append((f"tomography-{config}-fit", _cli("tomography", FIT_CONFIG), fitted))
+            out.append((f"{command}-{config}-noise", _cli(command, config, "--noise", "on")))
     return out
 
 
@@ -77,21 +70,30 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_run(name: str, argv: list[str], workdir: Path, config_text: str | None = None) -> list[str]:
-    """Run one invocation in ``workdir`` (after writing ``config_text``, if
-    any, there as ``FIT_CONFIG``) and list its digests."""
-    workdir.mkdir(parents=True)
-    if config_text is not None:
-        (workdir / FIT_CONFIG).write_text(config_text, encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
-    done = subprocess.run([sys.executable, *argv], cwd=workdir, env=env, capture_output=True, check=False)
+def digest_lines(name: str, workdir: Path, stdout: bytes, stderr: bytes, code: int) -> list[str]:
+    """The listing lines of one finished run whose artifacts are in ``workdir``."""
     files = sorted(p for p in workdir.rglob("*") if p.is_file())
     lines = [f"{name} {p.relative_to(workdir)} {_sha256(p.read_bytes())}" for p in files]
+    lines.append(f"{name} stdout {_sha256(stdout)}")
+    lines.append(f"{name} stderr {_sha256(stderr)}")
+    lines.append(f"{name} exit {code}")
+    return lines
+
+
+def read_listing() -> tuple[str, list[str]]:
+    """The numpy version the committed listing was made with, and its digest lines."""
+    header, *lines = LISTING.read_text(encoding="utf-8").splitlines()
+    return header.removeprefix("numpy "), lines
+
+
+def digest_run(name: str, argv: list[str], workdir: Path) -> list[str]:
+    """Run one invocation in a subprocess in ``workdir`` and list its digests."""
+    workdir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
+    done = subprocess.run([sys.executable, *argv], cwd=workdir, env=env, capture_output=True, check=False)
+    lines = digest_lines(name, workdir, done.stdout, done.stderr, done.returncode)
     (workdir / "stdout.txt").write_bytes(done.stdout)
     (workdir / "stderr.txt").write_bytes(done.stderr)
-    lines.append(f"{name} stdout {_sha256(done.stdout)}")
-    lines.append(f"{name} stderr {_sha256(done.stderr)}")
-    lines.append(f"{name} exit {done.returncode}")
     return lines
 
 
@@ -99,10 +101,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--keep", type=Path, help="write each run's files, stdout and stderr under this new directory")
     args = parser.parse_args(argv)
+    print(f"numpy {np.__version__}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         base = args.keep if args.keep is not None else Path(tmp)
-        for name, run_argv, config_text in runs():
-            print("\n".join(digest_run(name, run_argv, base / name, config_text)), flush=True)
+        for name, run_argv in runs():
+            print("\n".join(digest_run(name, run_argv, base / name)), flush=True)
     return 0
 
 
