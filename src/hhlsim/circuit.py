@@ -8,7 +8,7 @@ MultiplexedRy, a rotation whose angle the clock label selects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -88,17 +88,6 @@ class MultiplexedRy:
 Gate = Union[Hadamard, ControlledUnitary, MultiplexedRy]
 
 
-def _derived_gate(cls, *values) -> Gate:
-    """``cls(*values)`` for values derived from checked ones, such as a checked
-    system's spectrum or another gate: no check runs (no require_unitary), and
-    arrays are frozen as the constructor freezes them.  Callers pass int tuples,
-    float angle arrays and complex128 matrices."""
-    g = object.__new__(cls)
-    for f, v in zip(fields(cls), values):
-        object.__setattr__(g, f.name, qcore._freeze(v) if isinstance(v, np.ndarray) else v)
-    return g
-
-
 def gate_qubits(g: Gate) -> tuple[int, ...]:
     if isinstance(g, Hadamard):
         return (g.qubit,)
@@ -120,8 +109,8 @@ def gate_inverse(g: Gate) -> Gate:
     if isinstance(g, Hadamard):
         return g
     if isinstance(g, MultiplexedRy):
-        return _derived_gate(MultiplexedRy, g.selectors, g.target, -g.angles)
-    return _derived_gate(ControlledUnitary, g.controls, g.targets, g.matrix.conj().T)
+        return qcore._derived(MultiplexedRy, g.selectors, g.target, qcore._freeze(-g.angles))
+    return qcore._derived(ControlledUnitary, g.controls, g.targets, qcore._freeze(g.matrix.conj().T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +171,7 @@ def run_circuit(state: PureState, c: Circuit) -> PureState:
     tensor = state.amplitudes.reshape([2] * c.n_qubits).copy()
     for g in c.gates:
         _apply_gate_tensor(tensor, g, 0, False)
-    return PureState(tensor.reshape(-1))
+    return qcore._derived(PureState, qcore._freeze(tensor.reshape(-1)))
 
 
 def _qft_gates(t: int) -> list[Gate]:
@@ -199,8 +188,8 @@ def _qft_gates(t: int) -> list[Gate]:
         gates.append(Hadamard(i))
         for j in range(i + 1, t):
             phi = 2.0 * np.pi / 2 ** (j - i + 1)
-            phase = np.array([[1.0, 0.0], [0.0, np.exp(1j * phi)]], dtype=complex)
-            gates.append(_derived_gate(ControlledUnitary, ((j, 1),), (i,), phase))
+            phase = qcore._freeze(np.array([[1.0, 0.0], [0.0, np.exp(1j * phi)]], dtype=complex))
+            gates.append(qcore._derived(ControlledUnitary, ((j, 1),), (i,), phase))
     return gates
 
 
@@ -327,22 +316,18 @@ def evolve_density(
         for ev in by_slot.get(i, ()):
             for q in ev.qubits:
                 ev.channel.apply(tensor, q, n)
-    return qcore._derived_density(tensor.reshape(2**n, 2**n))
+    return qcore._derived(DensityMatrix, qcore._freeze(tensor.reshape(2**n, 2**n)))
 
 
 # ---------------------------------------------------------------------------
 # Measurement
 
 
-# A branch this light is numerically empty: measuring it, or post-selecting on it, raises.
-MIN_BRANCH_PROBABILITY = 1e-12
-
-
 def measure_qubit(rho: DensityMatrix, q: int, outcome: int) -> tuple[float, DensityMatrix]:
     """Probability of ``outcome`` on qubit ``q`` and the renormalized post state.
 
     Raises ZeroProbabilityBranch when the requested branch has probability
-    at or below ``MIN_BRANCH_PROBABILITY``.
+    at or below ``qcore.MIN_BRANCH_PROBABILITY``.
     """
     if not isinstance(rho, DensityMatrix):
         raise TypeError("rho must be a DensityMatrix")
@@ -357,9 +342,9 @@ def measure_qubit(rho: DensityMatrix, q: int, outcome: int) -> tuple[float, Dens
     t[block] = tensor[block]
     m = t.reshape(2**n, 2**n)
     prob = float(np.real(np.trace(m)))
-    if prob <= MIN_BRANCH_PROBABILITY:
+    if prob <= qcore.MIN_BRANCH_PROBABILITY:
         raise ZeroProbabilityBranch(f"outcome {outcome} on qubit {q} has probability {prob:.3e}")
-    return prob, qcore._derived_density(m / prob)
+    return prob, qcore._derived(DensityMatrix, qcore._freeze(m / prob))
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,6 @@ class InsufficientRecords(HhlsimError):
     """Tomography records do not cover the required pulse catalog."""
 
 
-class SubspaceMassTooSmall(HhlsimError):
-    """Solution subspace carries too little probability to read a solution from."""
-
-
 class RegisterTooWide(HhlsimError):
     """Register's final state would exceed the memory budget."""
 

@@ -167,12 +167,8 @@ def conditional_evolution(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
     """
     t = cfg.clock_qubits
     targets = tuple(range(t, t + sys.n_solution_qubits))
-    return [
-        qcirc._derived_gate(
-            ControlledUnitary, ((q, 1),), targets, qcore.matrix_exp_hermitian(sys.spectrum, cfg.t0 / 2 ** (q + 1))
-        )
-        for q in range(t)
-    ]
+    powers = (qcore._freeze(qcore.matrix_exp_hermitian(sys.spectrum, cfg.t0 / 2 ** (q + 1))) for q in range(t))
+    return [qcore._derived(ControlledUnitary, ((q, 1),), targets, u) for q, u in enumerate(powers)]
 
 
 def _qpe_gates(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
@@ -230,10 +226,10 @@ def _inversion_gates(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
     labels, exact = _clock_labels(sys, cfg)
     if cfg.rotation_mode == "linear" and t == 2 and exact and np.all(np.isin(labels, (1, 2))):
         return [
-            qcirc._derived_gate(ControlledUnitary, ((q, 1),), (ancilla,), qcore.rotation_y(angles[2**q]))
+            qcore._derived(ControlledUnitary, ((q, 1),), (ancilla,), qcore._freeze(qcore.rotation_y(angles[2**q])))
             for q in range(t)
         ]
-    return [qcirc._derived_gate(MultiplexedRy, tuple(range(t)), ancilla, angles)]
+    return [qcore._derived(MultiplexedRy, tuple(range(t)), ancilla, qcore._freeze(angles))]
 
 
 def resolve_config(sys: LinearSystem, cfg: SolverConfig) -> SolverConfig:
@@ -302,7 +298,7 @@ def theoretical_final_state(sys: LinearSystem, cfg: SolverConfig) -> PureState:
     if not exact:
         raise EigenvalueNotEncodable(f"eigenvalues lie off their clock labels {labels} at t0 = {cfg.t0}")
     block = _ideal_final_state(sys, cfg)
-    return PureState(np.pad(block, (0, (2**cfg.clock_qubits - 1) * block.size)))
+    return qcore._derived(PureState, qcore._freeze(np.pad(block, (0, (2**cfg.clock_qubits - 1) * block.size))))
 
 
 def effective_rotation_constant(eigenvalues, r: int) -> float:
@@ -401,7 +397,7 @@ def run_hhl(
     cfg = resolve_config(sys, cfg)
     c = build_circuit(sys, cfg)
     t = cfg.clock_qubits
-    initial = basis_state(t, 0).tensor(PureState(sys.b)).tensor(basis_state(1, 0))
+    initial = basis_state(t, 0).tensor(qcore._derived(PureState, sys.b)).tensor(basis_state(1, 0))
     a = _ideal_final_state(sys, cfg)
 
     final = final_density = None
@@ -424,9 +420,9 @@ def run_hhl(
     # the ancilla is the last qubit, so odd indices of sigma hold its ancilla = 1 block
     branch = sigma[1::2, 1::2]
     prob = float(np.trace(branch).real)
-    if prob <= qcirc.MIN_BRANCH_PROBABILITY:
-        raise ZeroProbabilityBranch(f"post-selection probability {prob:.3e} below {qcirc.MIN_BRANCH_PROBABILITY:g}")
-    rho_b = qcore._derived_density(branch / prob)
+    if prob <= qcore.MIN_BRANCH_PROBABILITY:
+        raise ZeroProbabilityBranch(f"post-selection probability {prob:.3e} below {qcore.MIN_BRANCH_PROBABILITY:g}")
+    rho_b = qcore._derived(DensityMatrix, qcore._freeze(branch / prob))
     # qcore.fidelity against |a><a|, clamped to [0, 1] as there
     fid = min(max(overlap / (np.vdot(a, a).real * np.sqrt(purity)), 0.0), 1.0)
     x_quantum = canonical_phase(_dominant_vector(rho_b))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qcore
 from .errors import DimensionMismatch, OutOfCalibrationRange, UnresolvedLines
 from .qcore import DensityMatrix, _freeze
 
@@ -163,7 +164,8 @@ def synthesize_spectrum(rho: DensityMatrix, params: MoleculeParams | None = None
     Line j carries intensity p_j - p_(j+8); the four lines with the second
     qubit down are the ones displaying the solver output, the rest vanish
     for ideal final states.  Positions come from the configured C-F
-    couplings, widths from the configured linewidth.
+    couplings, widths from the configured linewidth.  The peaks come from a
+    checked state, so they run no check (``qcore._derived``).
     """
     if params is None:
         params = DEFAULT_MOLECULE
@@ -172,12 +174,7 @@ def synthesize_spectrum(rho: DensityMatrix, params: MoleculeParams | None = None
     pops = rho.populations()
     centers = carbon_peak_positions(params)
     peaks = [
-        Peak(
-            center=float(centers[j]),
-            intensity=float(pops[j] - pops[j + 8]),
-            width=params.linewidth,
-            label=f"p{j}-p{j + 8}",
-        )
+        qcore._derived(Peak, float(centers[j]), float(pops[j] - pops[j + 8]), params.linewidth, f"p{j}-p{j + 8}")
         for j in range(8)
     ]
     return CarbonSpectrum(tuple(peaks))

@@ -9,11 +9,10 @@ Conventions used throughout the package:
 * All matrices and state vectors are complex128 numpy arrays.  Values are
   immutable after construction; arrays held by the dataclasses below are
   marked read-only.
-* Inputs are checked where they enter the program.  Values the engines
-  derive from checked values are trusted by construction: a gate built
-  from a checked spectrum, or the density a CPTP engine makes of a checked
-  state, runs no O(d^3) unitarity or eigenvalue check (see
-  circuit._derived_gate and _derived_density).
+* Inputs are checked where they enter the program: the public
+  constructors run every check.  Values the engines derive from checked
+  values (gates, states, densities, readout records, carbon peaks) are
+  built by ``_derived``, which runs none.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyKeepSet,
+    IndexOutOfRange,
     NotHermitian,
     NotUnitary,
 )
@@ -76,6 +76,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+def _derived(cls, *values):
+    """``cls(*values)`` for values derived from checked ones, field by field in
+    declaration order: no ``__post_init__`` runs and nothing is copied, so
+    callers pass arrays ``_freeze`` has already made read-only."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def _qubit_count(dim: int, what: str) -> int:
@@ -146,36 +155,32 @@ class PureState:
         return np.abs(self.amplitudes) ** 2
 
     def density(self) -> "DensityMatrix":
-        return _derived_density(np.outer(self.amplitudes, self.amplitudes.conj()))
+        return _derived(DensityMatrix, _freeze(np.outer(self.amplitudes, self.amplitudes.conj())))
 
     def tensor(self, other: "PureState") -> "PureState":
-        return PureState(np.kron(self.amplitudes, other.amplitudes))
+        return _derived(PureState, _freeze(np.kron(self.amplitudes, other.amplitudes)))
 
 
 def basis_state(n_qubits: int, index: int = 0) -> PureState:
+    if not 0 <= index < 2**n_qubits:
+        raise IndexOutOfRange(f"basis index {index} outside 0..{2**n_qubits - 1}")
     amp = np.zeros(2**n_qubits, dtype=complex)
     amp[index] = 1.0
     return PureState(amp)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Trace-one Hermitian positive-semidefinite operator.
 
     ``DensityMatrix(m)`` is the boundary for a density from outside the
-    program: it adds the O(d^3) eigenvalue check to the O(d^2) ones of
-    ``__post_init__``, which every density runs, the engines' too (see
-    ``_derived_density``).
+    program and runs every check, the O(d^3) eigenvalue one included.  The
+    engines make their densities from a checked state by positive
+    trace-preserving maps (outer products, unitaries, channels, projections,
+    partial traces), so those run none (see ``_derived``).
     """
 
     matrix: np.ndarray
-
-    def __init__(self, matrix):
-        object.__setattr__(self, "matrix", matrix)
-        self.__post_init__()
-        lo = float(np.linalg.eigvalsh(self.matrix).min())
-        if lo < -1e-9:
-            raise ValueError(f"density matrix has eigenvalue {lo:.3e} < -1e-9")
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
@@ -188,6 +193,9 @@ class DensityMatrix:
         tr = np.trace(m)
         if abs(tr - 1.0) > ATOL_STRUCTURAL:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond 1e-10")
+        lo = float(np.linalg.eigvalsh(m).min())
+        if lo < -1e-9:
+            raise ValueError(f"density matrix has eigenvalue {lo:.3e} < -1e-9")
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property
@@ -200,17 +208,6 @@ class DensityMatrix:
     def purity(self) -> float:
         # Tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
         return float(np.vdot(self.matrix, self.matrix).real)
-
-
-def _derived_density(m: np.ndarray) -> DensityMatrix:
-    """The DensityMatrix of an engine result, with ``__post_init__``'s O(d^2)
-    checks but not the constructor's eigenvalue check: the engines make it
-    from a checked state by positive maps (outer products, unitaries,
-    channels, projections, partial traces), so it stays positive."""
-    rho = object.__new__(DensityMatrix)
-    object.__setattr__(rho, "matrix", m)
-    rho.__post_init__()
-    return rho
 
 
 def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
@@ -243,7 +240,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     bra = [n + q if q in keep else q for q in range(n)]
     reduced = np.einsum(rho.matrix.reshape([2] * (2 * n)), ket + bra, keep + [n + q for q in keep])
     d = 2 ** len(keep)
-    return _derived_density(reduced.reshape(d, d))
+    return _derived(DensityMatrix, _freeze(reduced.reshape(d, d)))
 
 
 def rotation_y(theta) -> np.ndarray:
@@ -256,6 +253,9 @@ def rotation_x(theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
+
+# A branch this light is numerically empty: measuring it, or post-selecting on it, raises.
+MIN_BRANCH_PROBABILITY = 1e-12
 
 ZERO_SHARE = 1e-10  # rounding leaves an exact zero at about 1e-16 of the total
 

@@ -22,12 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import nmr, qcore
-from .errors import (
-    DimensionMismatch,
-    HhlsimError,
-    InsufficientRecords,
-    SubspaceMassTooSmall,
-)
+from .errors import DimensionMismatch, HhlsimError, InsufficientRecords, ZeroProbabilityBranch
 from .qcore import DensityMatrix, _freeze
 
 _DIM = 16
@@ -121,8 +116,8 @@ class MeasurementRecord:
     ``peak_amplitudes`` holds the eight complex carbon line amplitudes
     2<i|rho'|i+8>, indexed by the fluorine bit pattern i.  The constructor
     is the boundary for records from outside the program: values must be
-    finite and populations non-negative to ``ATOL_STRUCTURAL`` (see
-    ``_derived_record`` for the records ``simulate_readout`` makes).
+    finite and populations non-negative to ``ATOL_STRUCTURAL``.  The records
+    ``simulate_readout`` makes run no check (``qcore._derived``).
     """
 
     pulse: str
@@ -142,17 +137,6 @@ class MeasurementRecord:
             raise ValueError(f"populations sum to {pops.sum()!r}, not 1")
         object.__setattr__(self, "populations", _freeze(pops))
         object.__setattr__(self, "peak_amplitudes", _freeze(peaks))
-
-
-def _derived_record(pulse: str, populations: np.ndarray, peaks: np.ndarray) -> MeasurementRecord:
-    """The MeasurementRecord of a simulated readout, with no ``__post_init__``:
-    ``simulate_readout`` makes it from a checked state and unitary pulses, and
-    passes read-only float64 and complex128 rows of blocks it froze once."""
-    rec = object.__new__(MeasurementRecord)
-    object.__setattr__(rec, "pulse", pulse)
-    object.__setattr__(rec, "populations", populations)
-    object.__setattr__(rec, "peak_amplitudes", peaks)
-    return rec
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +189,9 @@ def simulate_readout(
     3e-15 on the shipped configs' states) and the readout noise is added
     after it, so no CLI command uses it; it stays for the benchmark's
     ``readout_fit`` workload.  The records are derived from the checked
-    state, so none runs ``MeasurementRecord``'s checks.
+    state by unitary pulses, so none runs ``MeasurementRecord``'s checks
+    (``qcore._derived``); their arrays are read-only rows of two blocks
+    frozen once per call.
     """
     if rho.n_qubits != _N_QUBITS:
         raise DimensionMismatch("readout simulation expects a 4-qubit state")
@@ -224,7 +210,7 @@ def simulate_readout(
         noise = rng.normal(0.0, noise_sigma, (len(pulses), 2, 8))
         lines = lines + noise[:, 0] + 1j * noise[:, 1]
     lines = _freeze(lines)
-    return [_derived_record(pulse.name, p, peaks) for pulse, p, peaks in zip(pulses, pops, lines)]
+    return [qcore._derived(MeasurementRecord, pulse.name, p, peaks) for pulse, p, peaks in zip(pulses, pops, lines)]
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +290,9 @@ def reconstruct_density(records) -> DensityMatrix:
     """Least-squares inversion of a complete full-catalog record set.
 
     The raw estimate is projected to the nearest valid state: eigenvalues
-    clipped at zero and the trace renormalized.  The projection is positive
-    by construction, so the result is a derived density with no eigenvalue
-    check (``qcore._derived_density``); the records are the input boundary.
+    clipped at zero and the trace renormalized.  The projection is a density
+    by construction, so it runs no check (``qcore._derived``); the records
+    are the input boundary.
     """
     peaks = np.array([rec.peak_amplitudes for rec in _in_catalog_order(records, FULL_CATALOG_NAMES)])
     observations = np.append(np.stack([peaks.real, peaks.imag], axis=-1).ravel(), 1.0)
@@ -316,7 +302,7 @@ def reconstruct_density(records) -> DensityMatrix:
     if w.sum() <= 0.0:
         raise HhlsimError("reconstruction produced an all-zero state")
     projected = (v * (w / w.sum())) @ v.conj().T
-    return qcore._derived_density(projected)
+    return qcore._derived(DensityMatrix, _freeze(projected))
 
 
 def records_to_json(records) -> dict:
@@ -378,14 +364,16 @@ def extract_solution_partial(records) -> PartialSolution:
 
     The four y pulses fix the diagonal by least squares; the fifth pulse's
     line 1 reads 2*Re(rho_13), whose sign is the relative phase of the two
-    solution components (0 or pi for real systems).
+    solution components (0 or pi for real systems).  Raises
+    ZeroProbabilityBranch when the two populations sum to at most
+    ``qcore.MIN_BRANCH_PROBABILITY``, the post-selection's own threshold.
     """
     ordered = _in_catalog_order(records, PARTIAL_CATALOG_NAMES)
     observations = np.append(np.real([rec.peak_amplitudes for rec in ordered[:4]]).ravel(), 1.0)
     pops = np.clip(_partial_pinv() @ observations, 0.0, None)
     c_sq, d_sq = (float(pops[k]) for k in SOLUTION_STATES)
-    if c_sq + d_sq < 1e-10:
-        raise SubspaceMassTooSmall(f"solution subspace mass {c_sq + d_sq:.3e} below 1e-10")
+    if c_sq + d_sq <= qcore.MIN_BRANCH_PROBABILITY:
+        raise ZeroProbabilityBranch(f"solution subspace mass {c_sq + d_sq:.3e} below {qcore.MIN_BRANCH_PROBABILITY:g}")
     coherence = float(np.real(ordered[4].peak_amplitudes[1])) / 2.0
     if abs(coherence) < 1e-12:
         sign = 0

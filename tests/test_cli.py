@@ -223,13 +223,14 @@ class TestSolveCommand:
 
     def test_wide_register_builds_no_full_density(self, tmp_path, monkeypatch):
         widths = []
-        check = qcore.DensityMatrix.__post_init__
+        derive = qcore._derived
 
-        def counting(rho):
-            widths.append(np.shape(rho.matrix)[0])
-            check(rho)
+        def counting(cls, *values):
+            if cls is qcore.DensityMatrix:
+                widths.append(np.shape(values[0])[0])
+            return derive(cls, *values)
 
-        monkeypatch.setattr(qcore.DensityMatrix, "__post_init__", counting)
+        monkeypatch.setattr(qcore, "_derived", counting)
         config = tmp_path / "run.ini"
         config.write_text(
             "[system]\nmatrix = 1 0 0 0 ; 0 2 0 0 ; 0 0 1 0 ; 0 0 0 2\nb = 1 1 1 1\n"
@@ -367,6 +368,19 @@ class TestTomographyCommand:
         assert report["kind"] == "partial"
         assert report["ratio"] == pytest.approx(report["solve_ratio"], abs=1e-6)
         assert report["phase_sign"] == -1
+
+    @pytest.mark.parametrize("command", ["solve", "tomography"])
+    @pytest.mark.parametrize("r, code", [(18, 0), (20, 0), (21, 2)])
+    def test_partial_readout_and_solve_share_the_empty_branch_threshold(self, tmp_path, capsys, command, r, code):
+        # b is the eigenvector of eigenvalue 2, so the solution mass is sin^2(pi / 2^(r + 1)):
+        # 3.6e-11 at r = 18, 2.2e-12 at r = 20 and 5.6e-13 at r = 21, under qcore.MIN_BRANCH_PROBABILITY
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[system]\nmatrix = 1.5 0.5 ; 0.5 1.5\nb = 1 1\n[solver]\nr = {r}\n[tomography]\nkind = partial\n"
+        )
+        assert run_cli([command, "--config", config, "--out", tmp_path / "o"]) == code
+        if code:
+            assert json.loads(capsys.readouterr().err)["error"]["type"] == "ZeroProbabilityBranch"
 
     @pytest.mark.parametrize("noise, pipeline_runs", [(None, 0), ("on", 1)])
     def test_partial_runs_the_pipeline_only_for_noise(self, tmp_path, monkeypatch, noise, pipeline_runs):

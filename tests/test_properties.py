@@ -130,9 +130,9 @@ def test_phase_estimation_leaves_label_lsb_first(case, data):
 @PROPERTY_SETTINGS
 @given(st.data(), st.one_of(st.just(1.0), st.floats(0.7, 1.3)), st.sampled_from(hhl.ROTATION_MODES))
 def test_engine_gates_and_densities_keep_their_invariants(t, data, t0_scale, mode):
-    # the engines skip the unitarity and eigenvalue checks on what they
-    # build; t0 = 2*pi puts every eigenvalue on its clock label, other
-    # scales put them between labels
+    # the engines run no check on what they build (qcore._derived); t0 =
+    # 2*pi puts every eigenvalue on its clock label, other scales put them
+    # between labels
     system, cfg, _, _ = data.draw(encodable_systems(max_clock_qubits=t, min_clock_qubits=t))
     try:
         cfg = hhl.resolve_config(system, replace(cfg, t0=2.0 * np.pi * t0_scale, rotation_mode=mode))
@@ -147,26 +147,36 @@ def test_engine_gates_and_densities_keep_their_invariants(t, data, t0_scale, mod
         for u in blocks:
             assert qcore.unitarity_defect(u) <= 1e-10
 
-    derive, densities = qcore._derived_density, []
+    derive, derived = qcore._derived, []
 
-    def recording(m):
-        densities.append(derive(m))
-        return densities[-1]
+    def recording(cls, *values):
+        derived.append(derive(cls, *values))
+        return derived[-1]
 
     def noise(c):
         return qc.dephasing_schedule(c, 50.0, 500.0) + qc.pulse_error_schedule(c, 0.001)
 
-    with mock.patch.object(qcore, "_derived_density", recording):
+    with mock.patch.object(qcore, "_derived", recording):
         try:
             hhl.run_hhl(system, cfg)
         except ZeroProbabilityBranch:
             reject()  # an exact-mode label below its eigenvalue rotates by 0
         hhl.run_hhl(system, cfg, noise_builder=noise)
+    # the checks DensityMatrix and PureState run on their inputs hold on every derived one
+    densities = [v for v in derived if isinstance(v, DensityMatrix)]
+    for rho in densities:
+        m = rho.matrix
+        assert m.dtype == np.complex128 and m.flags.c_contiguous and not m.flags.writeable
+        assert abs(np.trace(m) - 1.0) <= 1e-10
+        assert qcore.hermiticity_defect(m) <= 1e-10
+        assert np.linalg.eigvalsh(m).min() >= -1e-9
+    states = [v for v in derived if isinstance(v, PureState)]
+    assert states
+    for s in states:
+        assert abs(np.linalg.norm(s.amplitudes) - 1.0) <= 1e-10
     # the pure run's solution-register state; the noisy run's initial state,
     # evolved state and solution-register state
     assert len(densities) == 4
-    for rho in densities:
-        assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-9
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])

@@ -1,8 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hhlsim import qcore
-from hhlsim.errors import DimensionMismatch, EmptyKeepSet, NotHermitian
+from hhlsim.errors import DimensionMismatch, EmptyKeepSet, IndexOutOfRange, NotHermitian
 from hhlsim.qcore import (
     DensityMatrix,
     PureState,
@@ -178,6 +181,11 @@ class TestStateTypes:
         with pytest.raises(DimensionMismatch):
             PureState(np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_basis_index_outside_the_register_rejected(self, index):
+        with pytest.raises(IndexOutOfRange):
+            basis_state(2, index)
+
     def test_density_trace_enforced(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(2))
@@ -192,18 +200,42 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             DensityMatrix(m)
 
-    def test_engine_densities_keep_the_trace_and_hermiticity_checks(self):
-        with pytest.raises(ValueError):
-            qcore._derived_density(np.eye(2, dtype=complex))
-        with pytest.raises(NotHermitian):
-            qcore._derived_density(np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex))
-        rho = qcore._derived_density(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
-        assert rho.matrix.dtype == complex and not rho.matrix.flags.writeable
+    @pytest.mark.parametrize(
+        "m, error",
+        [
+            (np.eye(2), ValueError),
+            (np.array([[0.5, 0.3], [0.0, 0.5]]), NotHermitian),
+            (np.array([[1.5, 0.0], [0.0, -0.5]]), ValueError),
+        ],
+        ids=["trace", "hermiticity", "eigenvalue"],
+    )
+    def test_derived_densities_run_no_check_and_keep_their_array(self, m, error):
+        # the boundary rejects m, so a derived density holding it ran no __post_init__
+        m = qcore._freeze(m.astype(complex))
+        assert qcore._derived(DensityMatrix, m).matrix is m
+        with pytest.raises(error):
+            DensityMatrix(m)
 
     def test_arrays_are_read_only(self):
         s = basis_state(2, 1)
         with pytest.raises(ValueError):
             s.amplitudes[0] = 1.0
+
+
+def test_only_derived_builds_values_past_their_checks():
+    # object.__new__ skips a dataclass's __post_init__; qcore._derived is the one place that does
+    sites = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "hhlsim").rglob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            sites += [
+                (path.name, getattr(top, "name", None))
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute)
+                and node.attr == "__new__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ]
+    assert sites == [("qcore.py", "_derived")]
 
 
 class TestCanonicalPhase:

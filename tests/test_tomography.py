@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hhlsim import config, hhl, nmr, qcore, tomography as tomo
-from hhlsim.errors import HhlsimError, InsufficientRecords, SubspaceMassTooSmall
+from hhlsim.errors import HhlsimError, InsufficientRecords, ZeroProbabilityBranch
 from hhlsim.qcore import DensityMatrix, PureState, basis_state, fidelity
 
 A_DEMO = np.array([[1.5, 0.5], [0.5, 1.5]])
@@ -412,7 +412,7 @@ class TestPartialExtraction:
         assert result.ratio is None
 
     def test_empty_subspace_rejected(self):
-        with pytest.raises(SubspaceMassTooSmall):
+        with pytest.raises(ZeroProbabilityBranch):
             self.extract(basis_state(4, 0).density())
 
     def test_missing_pulses_rejected(self):
