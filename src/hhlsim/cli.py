@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +19,15 @@ import numpy as np
 from . import __version__, nmr, tomography
 from . import circuit as qcirc
 from .config import RunSettings, load_config
-from .errors import ConfigParseError, EigenvalueNotEncodable, RegisterTooWide, ZeroProbabilityBranch
+from .errors import (
+    ConfigParseError,
+    EigenvalueNotEncodable,
+    InconsistentRecords,
+    RegisterTooWide,
+    ZeroProbabilityBranch,
+)
 from .hhl import resolve_config, run_hhl, sweep_r, sweep_t0, theoretical_final_state
-from .qcore import fidelity, mass_ratio
+from .qcore import _freeze, fidelity, mass_ratio
 
 
 @cache
@@ -100,14 +106,19 @@ def _final_density(report):
     return report.final_density if report.final_density is not None else report.final_state.density()
 
 
+@lru_cache(maxsize=1)
+def _spectrum_layout(lo: float, hi: float) -> tuple[np.ndarray, str]:
+    """The 2001-point grid from ``lo`` to ``hi`` and the spectrum CSV text on it,
+    with a ``%r`` slot for each amplitude.  Every shipped config shares one grid."""
+    freqs = _freeze(np.linspace(lo, hi, 2001))
+    return freqs, "frequency_hz,amplitude\n" + "".join(f"{f!r},%r\n" for f in freqs.tolist())
+
+
 def _spectrum_csv(spectrum: nmr.CarbonSpectrum) -> str:
     centers = [p.center for p in spectrum.peaks]
     width = max(p.width for p in spectrum.peaks)
-    freqs = np.linspace(min(centers) - 20.0 * width, max(centers) + 20.0 * width, 2001)
-    amps = spectrum.sample(freqs)
-    lines = ["frequency_hz,amplitude"]
-    lines.extend(f"{f!r},{a!r}" for f, a in zip(freqs.tolist(), amps.tolist()))
-    return "\n".join(lines) + "\n"
+    freqs, layout = _spectrum_layout(min(centers) - 20.0 * width, max(centers) + 20.0 * width)
+    return layout % tuple(spectrum.sample(freqs).tolist())
 
 
 def cmd_solve(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
@@ -160,7 +171,7 @@ def cmd_tomography(settings: RunSettings, out: Path) -> tuple[dict, list[str]]:
     rng = np.random.default_rng(settings.noise.seed) if tset.noise_sigma > 0.0 else None
     pulses = tomography.pulse_catalog(tset.kind)
     records = tomography.simulate_readout(rho, pulses, noise_sigma=tset.noise_sigma, rng=rng)
-    _write_json(out / "records.json", tomography.records_to_json(records))
+    _write_text(out / "records.json", tomography.records_json(records))
     payload: dict = {
         "kind": tset.kind,
         "noise_enabled": settings.noise.enabled,
@@ -216,9 +227,10 @@ _COMMANDS = {
 
 
 # Exit 2: the config itself, or problems it causes that show only while running
-# (tomography needs an exact encoding, and a post-selection with no mass means r
-# is too large for the spectrum).  Any other failure exits 1.
-_CONFIG_ERRORS = (ConfigParseError, RegisterTooWide, EigenvalueNotEncodable, ZeroProbabilityBranch)
+# (tomography needs an exact encoding, a post-selection with no mass means r is
+# too large for the spectrum, and readout noise_sigma can be too large for the
+# partial records to read as a state).  Any other failure exits 1.
+_CONFIG_ERRORS = (ConfigParseError, RegisterTooWide, EigenvalueNotEncodable, ZeroProbabilityBranch, InconsistentRecords)
 
 
 def main(argv=None) -> int:

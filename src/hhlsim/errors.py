@@ -57,6 +57,10 @@ class InsufficientRecords(HhlsimError):
     """Tomography records do not cover the required pulse catalog."""
 
 
+class InconsistentRecords(HhlsimError):
+    """Tomography records that no state produces, beyond what readout noise explains."""
+
+
 class RegisterTooWide(HhlsimError):
     """Register's final state would exceed the memory budget."""
 

@@ -23,13 +23,14 @@ from . import circuit as qcirc
 from . import qcore, reference
 from .circuit import Circuit, ControlledUnitary, Gate, Hadamard, MultiplexedRy
 from .errors import (
+    DimensionMismatch,
     EigenvalueNotEncodable,
     NotPositiveDefinite,
     RegisterTooWide,
     WidthMismatch,
     ZeroProbabilityBranch,
 )
-from .qcore import DensityMatrix, PureState, Spectrum, basis_state, canonical_phase
+from .qcore import DensityMatrix, PureState, Spectrum, canonical_phase
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,13 +40,37 @@ class LinearSystem:
     """Hermitian system A x = b with its spectral data.
 
     ``b`` is a unit vector; all eigenvalues are strictly positive (the
-    inversion path rejects anything else).
+    inversion path rejects anything else).  The constructor is the boundary
+    for a system built outside the program and runs every check: A finite,
+    Hermitian and 2^n-dimensional; b a finite unit vector of A's width; the
+    spectrum's eigenvectors orthonormal with A V = V diag(lambda) to 1e-9 of
+    the largest eigenvalue; kappa = lambda_max / lambda_min to 1e-9 relative.
+    ``linear_system`` checks its inputs before decomposing A and builds its
+    result with ``qcore._derived``.
     """
 
     a: np.ndarray
     b: np.ndarray
     spectrum: Spectrum
     kappa: float
+
+    def __post_init__(self):
+        m = _system_matrix(self.a)
+        vec = _finite_b(self.b, m.shape)
+        if abs((norm := np.linalg.norm(vec)) - 1.0) > qcore.ATOL_STRUCTURAL:
+            raise ValueError(f"b must be a unit vector (norm {norm!r})")
+        w, v = self.spectrum.eigenvalues, self.spectrum.eigenvectors
+        if w.shape != (m.shape[0],) or v.shape != m.shape:
+            raise DimensionMismatch(f"spectrum of shapes {w.shape} and {v.shape} does not fit a {m.shape} matrix")
+        kappa = _condition_number(w)
+        tol = 1e-9 * float(w.max())
+        if qcore.unitarity_defect(v) > 1e-9 or np.max(np.abs(m @ v - v * w)) > tol:
+            raise ValueError("spectrum is not an orthonormal eigendecomposition of a")
+        if not abs(self.kappa - kappa) <= 1e-9 * kappa:
+            raise ValueError(f"kappa {self.kappa!r} is not lambda_max / lambda_min = {kappa!r}")
+        object.__setattr__(self, "a", qcore._freeze(m))
+        object.__setattr__(self, "b", qcore._freeze(vec))
+        object.__setattr__(self, "kappa", float(self.kappa))
 
     @property
     def n_solution_qubits(self) -> int:
@@ -56,14 +81,31 @@ class LinearSystem:
         return self.spectrum.eigenvectors.conj().T @ self.b
 
 
-def linear_system(a, b, *, normalize: bool = False) -> LinearSystem:
+def _system_matrix(a) -> np.ndarray:
     m = qcore.require_hermitian(a)
     qcore._qubit_count(m.shape[0], "system")
+    return m
+
+
+def _finite_b(b, shape: tuple[int, int]) -> np.ndarray:
     vec = np.asarray(b, dtype=complex).reshape(-1)
-    if vec.size != m.shape[0]:
-        raise WidthMismatch(f"matrix {m.shape} incompatible with b of length {vec.size}")
+    if vec.size != shape[0]:
+        raise WidthMismatch(f"matrix {shape} incompatible with b of length {vec.size}")
     if not np.all(np.isfinite(vec)):
         raise ValueError("b contains non-finite entries")
+    return vec
+
+
+def _condition_number(eigenvalues: np.ndarray) -> float:
+    lam_min = float(eigenvalues.min())
+    if lam_min <= 0.0:
+        raise NotPositiveDefinite(f"smallest eigenvalue {lam_min:.6g} <= 0")
+    return float(eigenvalues.max() / lam_min)
+
+
+def linear_system(a, b, *, normalize: bool = False) -> LinearSystem:
+    m = _system_matrix(a)
+    vec = _finite_b(b, m.shape)
     if normalize:
         peak = np.max(np.abs(vec))
         if peak == 0.0:
@@ -74,12 +116,9 @@ def linear_system(a, b, *, normalize: bool = False) -> LinearSystem:
         vec = vec / np.linalg.norm(vec)
     elif abs((norm := np.linalg.norm(vec)) - 1.0) > qcore.ATOL_STRUCTURAL:
         raise ValueError(f"b must be a unit vector (norm {norm!r}); pass normalize=True to rescale")
-    spectrum = qcore.eig_hermitian(m)
-    lam_min = float(spectrum.eigenvalues.min())
-    if lam_min <= 0.0:
-        raise NotPositiveDefinite(f"smallest eigenvalue {lam_min:.6g} <= 0")
-    kappa = float(spectrum.eigenvalues.max() / lam_min)
-    return LinearSystem(a=qcore._freeze(m), b=qcore._freeze(vec), spectrum=spectrum, kappa=kappa)
+    w, v = np.linalg.eigh(m)
+    spectrum = qcore._derived(Spectrum, qcore._freeze(w), qcore._freeze(v))
+    return qcore._derived(LinearSystem, qcore._freeze(m), qcore._freeze(vec), spectrum, _condition_number(w))
 
 
 ROTATION_MODES = ("linear", "exact")
@@ -224,7 +263,7 @@ def _inversion_gates(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
     theta, sin_half, _ = _inversion_rotation(cfg, TWO_PI * np.arange(1, 2**t) / cfg.t0)
     angles = np.concatenate(([0.0], np.where(sin_half > 1.0 + ENCODING_ATOL, 0.0, theta)))
     labels, exact = _clock_labels(sys, cfg)
-    if cfg.rotation_mode == "linear" and t == 2 and exact and np.all(np.isin(labels, (1, 2))):
+    if cfg.rotation_mode == "linear" and t == 2 and exact and set(labels.tolist()) <= {1.0, 2.0}:
         return [
             qcore._derived(ControlledUnitary, ((q, 1),), (ancilla,), qcore._freeze(qcore.rotation_y(angles[2**q])))
             for q in range(t)
@@ -267,7 +306,7 @@ def build_circuit(sys: LinearSystem, cfg: SolverConfig) -> Circuit:
         "b": tuple(range(t, t + nb)),
         "ancilla": (n - 1,),
     }
-    return Circuit(n, gates, registers)
+    return qcore._derived(Circuit, n, tuple(gates), registers)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +436,11 @@ def run_hhl(
     cfg = resolve_config(sys, cfg)
     c = build_circuit(sys, cfg)
     t = cfg.clock_qubits
-    initial = basis_state(t, 0).tensor(qcore._derived(PureState, sys.b)).tensor(basis_state(1, 0))
     a = _ideal_final_state(sys, cfg)
+    # |0..0>|b>|0>: b in the even (ancilla 0) slots of the clock label 0 block
+    amplitudes = np.zeros(2**t * a.size, dtype=complex)
+    amplitudes[: a.size : 2] = sys.b
+    initial = qcore._derived(PureState, qcore._freeze(amplitudes))
 
     final = final_density = None
     if noise_builder is None:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hhlsim import cli, hhl, qcore
+from hhlsim import cli, hhl, nmr, qcore
 from hhlsim.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -361,6 +361,12 @@ class TestTomographyCommand:
         report = read_json(out / "tomography_report.json")
         assert 0.90 <= report["fidelity"] < 1.0
 
+    def test_partial_records_too_noisy_for_a_state_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text(BASIC_CONFIG + "\n[tomography]\nkind = partial\nnoise_sigma = 1.0\n")
+        assert run_cli(["tomography", "--config", config, "--out", tmp_path / "o", "--seed", "1"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "InconsistentRecords"
+
     def test_partial_matches_solve(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli(["tomography", "--config", CONFIG_DIR / "b10_exact.ini", "--out", out]) == 0
@@ -440,6 +446,40 @@ class TestTomographyCommand:
         assert run_cli(["tomography", "--config", config, "--out", out, "--seed", "3"]) == 0
         report = read_json(out / "tomography_report.json")
         assert report["fidelity"] > 0.99
+
+
+class TestSpectrumCsv:
+    @staticmethod
+    def reference(spectrum):
+        centers = [p.center for p in spectrum.peaks]
+        width = max(p.width for p in spectrum.peaks)
+        freqs = np.linspace(min(centers) - 20.0 * width, max(centers) + 20.0 * width, 2001)
+        lines = [f"{f!r},{a!r}" for f, a in zip(freqs.tolist(), spectrum.sample(freqs).tolist())]
+        return "\n".join(["frequency_hz,amplitude"] + lines) + "\n"
+
+    def test_matches_the_per_line_text_on_every_grid(self):
+        j = np.array(
+            [[0.0, 100.0, 40.0, -10.0], [100.0, 0.0, 60.0, 40.0], [40.0, 60.0, 0.0, -100.0], [-10.0, 40.0, -100.0, 0.0]]
+        )
+        molecules = [
+            nmr.DEFAULT_MOLECULE,
+            nmr.MoleculeParams(linewidth=2.5),
+            nmr.MoleculeParams(carbon_shift=-300.0),
+            nmr.MoleculeParams(j_couplings=j),
+        ]
+        v = np.random.default_rng(12).normal(size=16)
+        states = [
+            qcore.basis_state(4, 0b1000).density(),  # line 0 at intensity -1
+            qcore.DensityMatrix(np.eye(16) / 16.0),  # every line at 0
+            qcore.PureState(v / np.linalg.norm(v)).density(),
+        ]
+        # each molecule's grid replaces the previous one in the one-entry layout cache
+        for _ in range(2):
+            for molecule in molecules:
+                for rho in states:
+                    spectrum = nmr.synthesize_spectrum(rho, molecule)
+                    # compared as lists, whose first difference pytest reports at once
+                    assert cli._spectrum_csv(spectrum).split("\n") == self.reference(spectrum).split("\n")
 
 
 class TestSpectrumCommand:

@@ -9,8 +9,10 @@ from hhlsim import hhl, qcore, reference
 from hhlsim.errors import (
     DimensionMismatch,
     EigenvalueNotEncodable,
+    NotHermitian,
     NotPositiveDefinite,
     RegisterTooWide,
+    WidthMismatch,
     ZeroProbabilityBranch,
 )
 from hhlsim.qcore import PureState, basis_state
@@ -52,7 +54,7 @@ class TestLinearSystem:
         def fail(a):
             raise AssertionError("eigendecomposition reached")
 
-        monkeypatch.setattr(qcore, "eig_hermitian", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(ValueError, match="non-finite"):
             hhl.linear_system(A_DEMO, b, normalize=normalize)
 
@@ -66,6 +68,61 @@ class TestLinearSystem:
     def test_rejects_sizes_without_a_register(self, dim):
         with pytest.raises(DimensionMismatch):
             hhl.linear_system(np.eye(dim), np.eye(dim)[0])
+
+
+class TestLinearSystemConstructor:
+    """``LinearSystem`` built directly runs every check ``linear_system`` makes."""
+
+    def fields(self):
+        s = demo_system([1.0, 0.0])
+        return {"a": s.a, "b": s.b, "spectrum": s.spectrum, "kappa": s.kappa}
+
+    def test_accepts_a_checked_system(self):
+        s = hhl.LinearSystem(**self.fields())
+        assert s.kappa == 2.0
+        assert not s.a.flags.writeable and not s.b.flags.writeable
+
+    def test_rejects_a_b_that_is_not_a_unit_vector(self):
+        # unchecked, this system ran to a final state of norm 1.414 and a success probability of 0.5
+        with pytest.raises(ValueError, match="unit vector"):
+            hhl.LinearSystem(**{**self.fields(), "b": np.array([1.0, 1.0])})
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("a", A_DEMO + 0.1j, NotHermitian),
+            ("a", np.array([[np.nan, 0.5], [0.5, 1.5]]), ValueError),
+            ("a", np.eye(3), DimensionMismatch),
+            ("b", np.array([1.0, 0.0, 0.0]), WidthMismatch),
+            ("b", np.array([np.nan, 1.0]), ValueError),
+            ("spectrum", qcore.Spectrum([1.0, 2.0, 3.0], np.eye(2)), DimensionMismatch),
+            ("spectrum", qcore.Spectrum([-1.0, 2.0], np.eye(2)), NotPositiveDefinite),
+            ("spectrum", qcore.Spectrum([1.0, 2.0], np.zeros((2, 2))), ValueError),
+            ("spectrum", qcore.Spectrum([1.0, 2.0], np.eye(2)), ValueError),
+            ("kappa", 3.0, ValueError),
+            ("kappa", np.nan, ValueError),
+        ],
+        ids=[
+            "non_hermitian_a", "nan_a", "a_without_register", "b_of_other_width", "nan_b",
+            "spectrum_of_other_width", "negative_eigenvalue", "zero_eigenvectors", "eigenvectors_of_another_matrix",
+            "wrong_kappa", "nan_kappa",
+        ],
+    )
+    def test_rejects_each_bad_field(self, field, value, error):
+        with pytest.raises(error):
+            hhl.LinearSystem(**{**self.fields(), field: value})
+
+    def test_linear_system_checks_a_once(self, monkeypatch):
+        calls = []
+        check = qcore.require_hermitian
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return check(a)
+
+        monkeypatch.setattr(qcore, "require_hermitian", counting)
+        demo_system([1.0, 0.0])
+        assert calls == [(2, 2)]
 
 
 class TestSolverConfig:
@@ -350,10 +407,14 @@ class TestRunHhl:
     def test_pipeline_reuses_the_system_spectrum(self, monkeypatch, n_b):
         s = encodable_system(np.random.default_rng(n_b), 2**n_b)
 
-        def refuse(a):
-            raise AssertionError("A decomposed again after linear_system")
+        eigh = np.linalg.eigh
 
-        monkeypatch.setattr(qcore, "eig_hermitian", refuse)
+        def refuse_a(m, *args, **kwargs):
+            if np.shape(m) == s.a.shape and np.array_equal(m, s.a):
+                raise AssertionError("A decomposed again after linear_system")
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse_a)
         cfg = hhl.resolve_config(s, hhl.SolverConfig(rotation_mode="exact"))
         assert len(hhl.build_circuit(s, cfg)) > 0
         report = hhl.run_hhl(s, cfg)
@@ -526,6 +587,19 @@ class TestEngineValuesAreNotRechecked:
         # the paper's per-bit inversion path
         hhl.run_hhl(demo_system([1.0, 0.0]), hhl.SolverConfig())
         assert shapes == []
+
+    def test_built_circuit_runs_no_qubit_range_check(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("Circuit checked its derived gates")
+
+        monkeypatch.setattr(qc.Circuit, "__post_init__", fail)
+        s = encodable_system(np.random.default_rng(9), 4)
+        cfg = hhl.resolve_config(s, hhl.SolverConfig(rotation_mode="exact"))
+        c = hhl.build_circuit(s, cfg)
+        assert isinstance(c.gates, tuple) and c.registers == {"clock": (0, 1), "b": (2, 3), "ancilla": (4,)}
+        # the input run_hhl writes directly is |0..0>_clock |b> |0>_ancilla
+        initial = basis_state(2, 0).tensor(PureState(s.b)).tensor(basis_state(1, 0))
+        assert np.array_equal(hhl.run_hhl(s, cfg).final_state.amplitudes, qc.run_circuit(initial, c).amplitudes)
 
     def test_noisy_run_checks_no_full_register_eigenvalues(self, monkeypatch):
         widths = []

@@ -1,10 +1,11 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hhlsim import config, hhl, nmr, qcore, tomography as tomo
-from hhlsim.errors import HhlsimError, InsufficientRecords, ZeroProbabilityBranch
+from hhlsim.errors import HhlsimError, InconsistentRecords, InsufficientRecords, ZeroProbabilityBranch
 from hhlsim.qcore import DensityMatrix, PureState, basis_state, fidelity
 
 A_DEMO = np.array([[1.5, 0.5], [0.5, 1.5]])
@@ -371,6 +372,54 @@ class TestReconstruction:
         DensityMatrix(rho_hat.matrix)
         assert calls == [(16, 16)]
 
+
+def reference_records_json(records):
+    """records.json as json.dumps writes the dict of records keyed by pulse name."""
+    out = {
+        rec.pulse: {
+            "populations": [float(x) for x in rec.populations],
+            "peaks_re": [float(x) for x in np.real(rec.peak_amplitudes)],
+            "peaks_im": [float(x) for x in np.imag(rec.peak_amplitudes)],
+        }
+        for rec in records
+    }
+    return json.dumps(out, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+class TestRecordsJson:
+    def test_matches_json_dumps_on_both_catalogs(self):
+        rng = np.random.default_rng(31)
+        rho = random_mixed_density(rng)
+        # alternating catalogs fills each one's cached layout again
+        for kind in ("full", "partial", "full", "partial"):
+            pulses = tomo.pulse_catalog(kind)
+            noisy = tomo.simulate_readout(rho, pulses, noise_sigma=0.01, rng=rng)
+            shuffled = [noisy[i] for i in rng.permutation(len(noisy))]
+            for records in (tomo.simulate_readout(rho, pulses), noisy, shuffled):
+                assert tomo.records_json(records).split("\n") == reference_records_json(records).split("\n")
+
+    def test_signed_zeros_subnormals_and_any_pulse_name(self):
+        pops = np.zeros(16)
+        pops[:3] = [-0.0, 5e-324, 1.0]
+        peaks = np.empty(8, dtype=complex)
+        peaks.real = [-0.0, 5e-324, -5e-324, 0.0, 1.0, -1.0, 1e300, 0.1]
+        peaks.imag = [0.0, -0.0, 2.5e-300, -5e-324, 1 / 3, -2.0, 0.1, -0.0]
+        # '%' in a key, keys that read as the layout's null, a quote, and a repeated name (the later record wins)
+        names = ["b%r", "YEEE", "%%", "null", "      null", '"null,', "YEEE", ""]
+        records = [tomo.MeasurementRecord(n, pops, peaks * (k + 1)) for k, n in enumerate(names)]
+        assert tomo.records_json(records) == reference_records_json(records)
+        assert tomo.records_json([]) == reference_records_json([]) == "{}\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_derived_record_holding_a_non_finite_value_raises(self, bad):
+        record = tomo.simulate_readout(basis_state(4, 1).density(), tomo.pulse_catalog("partial"))[2]
+        peaks = record.peak_amplitudes.copy()
+        peaks[3] = bad
+        derived = qcore._derived(tomo.MeasurementRecord, record.pulse, record.populations, peaks)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            tomo.records_json([record, derived])
+
+
 class TestPartialExtraction:
     def extract(self, rho, **kwargs):
         records = tomo.simulate_readout(rho, tomo.pulse_catalog("partial"), **kwargs)
@@ -419,6 +468,33 @@ class TestPartialExtraction:
         records = tomo.simulate_readout(basis_state(4, 0).density(), tomo.pulse_catalog("partial")[:3])
         with pytest.raises(InsufficientRecords):
             tomo.extract_solution_partial(records)
+
+    def test_records_no_state_produces_rejected(self):
+        rho = ideal_final_state([1.0, 0.0], mode="exact").density()
+        records = tomo.simulate_readout(rho, tomo.pulse_catalog("partial"))
+        first = records[0]
+        # 3.0 on each line of the first y record read as c_sq = 2.06 and populations summing to 13
+        records[0] = tomo.MeasurementRecord(first.pulse, first.populations, first.peak_amplitudes + 3.0)
+        with pytest.raises(InconsistentRecords, match="sum to 13"):
+            tomo.extract_solution_partial(records)
+
+    @pytest.mark.parametrize("lines", [[1e308], [-1e308], [1e308, -1e308]], ids=["positive", "negative", "alternating"])
+    def test_records_at_the_float_limit_rejected(self, lines):
+        rho = ideal_final_state([1.0, 0.0], mode="exact").density()
+        records = [
+            tomo.MeasurementRecord(rec.pulse, rec.populations, np.resize(lines, 8))
+            for rec in tomo.simulate_readout(rho, tomo.pulse_catalog("partial"))
+        ]
+        with pytest.raises(InconsistentRecords):
+            tomo.extract_solution_partial(records)
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.05])
+    def test_noisy_readouts_pass_the_population_check(self, sigma):
+        states = [basis_state(4, 0b0001).density(), ideal_final_state([1.0, 0.0], mode="exact").density()]
+        for rho in states:
+            for seed in range(25):
+                rng = np.random.default_rng(seed)
+                self.extract(rho, noise_sigma=sigma, rng=rng)
 
 
 class TestDesignInverse:
