@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from functools import cache, lru_cache
@@ -94,8 +95,21 @@ def _noise_builder(settings: RunSettings):
 
 
 def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write ``text`` as UTF-8 over ``path`` in place, then cut the file to its length.
+
+    No ``O_TRUNC``: ext4 flushes a file truncated to zero and rewritten when it is
+    closed, so a rerun into a full ``--out`` would wait on the disk for every file.
+    A write that fails leaves an empty file, never old and new bytes mixed."""
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0) as fh:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[fh.write(view):]
+            fh.truncate(len(data))
+        except BaseException:
+            fh.truncate(0)
+            raise
 
 
 def _write_json(path: Path, obj) -> None:

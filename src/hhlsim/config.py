@@ -187,7 +187,7 @@ def _load_system(parser: configparser.ConfigParser) -> LinearSystem:
 
 
 def load_config(path) -> RunSettings:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

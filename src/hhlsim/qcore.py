@@ -99,15 +99,27 @@ class Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
     ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns.
+    matching orthonormal eigenvectors as columns.  The constructor checks
+    the shapes (n,) and (n, n), finite entries, the order and a unitarity
+    defect of at most ``ATOL_STRUCTURAL``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _freeze(np.asarray(self.eigenvalues, dtype=float)))
-        object.__setattr__(self, "eigenvectors", _freeze(np.asarray(self.eigenvectors, dtype=complex)))
+        w = np.asarray(self.eigenvalues, dtype=float)
+        v = np.asarray(self.eigenvectors, dtype=complex)
+        if w.ndim != 1 or w.size == 0 or v.shape != (w.size, w.size):
+            raise DimensionMismatch(f"eigenvalues of shape {w.shape} and eigenvectors of shape {v.shape} do not fit")
+        if not np.all(np.isfinite(w)) or not np.all(np.isfinite(v)):
+            raise ValueError("spectrum contains non-finite entries")
+        if np.any(np.diff(w) < 0.0):
+            raise ValueError(f"eigenvalues {w.tolist()!r} are not ascending")
+        if (defect := unitarity_defect(v)) > ATOL_STRUCTURAL:
+            raise NotUnitary(f"eigenvectors: max |V^dagger V - I| = {defect:.3e} > {ATOL_STRUCTURAL:.1e}")
+        object.__setattr__(self, "eigenvalues", _freeze(w))
+        object.__setattr__(self, "eigenvectors", _freeze(v))
 
 
 def eig_hermitian(a) -> Spectrum:

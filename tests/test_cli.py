@@ -1,5 +1,7 @@
+import errno
 import json
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -96,6 +98,15 @@ class TestSolveCommand:
         assert run_cli(["solve", "--config", config, "--out", tmp_path / "o"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigParseError"
+
+    @pytest.mark.parametrize("key, value", [("t0", "6.28%"), ("linewidth", "%(x)s")], ids=["percent", "reference"])
+    def test_percent_in_a_value_is_a_config_error(self, tmp_path, capsys, key, value):
+        # with configparser's interpolation on, these exited 1 with its own untyped errors
+        lines = (CONFIG_DIR / "experiment1.ini").read_text().splitlines()
+        config = tmp_path / "pct.ini"
+        config.write_text("\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines))
+        assert run_cli(["solve", "--config", config, "--out", tmp_path / "o"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigParseError"
 
     @pytest.mark.parametrize(
         "command, extra, flags",
@@ -288,6 +299,48 @@ class TestSolveCommand:
         assert names == sorted(p.name for p in out2.iterdir())
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestWriteText:
+    @pytest.mark.parametrize(
+        "old, new", [("x" * 100, "short\n"), ("short\n", "λ = 1\n" * 100)], ids=["shorter", "longer"]
+    )
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, old, new):
+        path = tmp_path / "a.txt"
+        path.write_bytes(old.encode("utf-8"))
+        cli._write_text(path, new)
+        assert path.read_bytes() == new.encode("utf-8")
+
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            cli._write_text(tmp_path / "new.txt", "x")
+            with open(tmp_path / "ref.txt", "w"):
+                pass
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "new.txt").stat().st_mode) == 0o666 & ~0o027
+        assert stat.S_IMODE((tmp_path / "ref.txt").stat().st_mode) == 0o666 & ~0o027
+
+    def test_failed_write_leaves_an_empty_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"old bytes\n" * 100)
+
+        def open_failing(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write = fh.write
+
+            def write_part_then_fail(data):
+                write(data[:4])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            fh.write = write_part_then_fail
+            return fh
+
+        monkeypatch.setattr(cli, "open", open_failing, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            cli._write_text(path, "new bytes\n" * 10)
+        assert path.read_bytes() == b""
 
 
 class TestSweepCommand:

@@ -95,10 +95,11 @@ class TestLinearSystemConstructor:
             ("a", np.eye(3), DimensionMismatch),
             ("b", np.array([1.0, 0.0, 0.0]), WidthMismatch),
             ("b", np.array([np.nan, 1.0]), ValueError),
-            ("spectrum", qcore.Spectrum([1.0, 2.0, 3.0], np.eye(2)), DimensionMismatch),
-            ("spectrum", qcore.Spectrum([-1.0, 2.0], np.eye(2)), NotPositiveDefinite),
-            ("spectrum", qcore.Spectrum([1.0, 2.0], np.zeros((2, 2))), ValueError),
-            ("spectrum", qcore.Spectrum([1.0, 2.0], np.eye(2)), ValueError),
+            # spectra that Spectrum itself rejects, built unchecked to reach LinearSystem's own checks
+            ("spectrum", qcore._derived(qcore.Spectrum, np.array([1.0, 2.0, 3.0]), np.eye(2)), DimensionMismatch),
+            ("spectrum", qcore._derived(qcore.Spectrum, np.array([-1.0, 2.0]), np.eye(2)), NotPositiveDefinite),
+            ("spectrum", qcore._derived(qcore.Spectrum, np.array([1.0, 2.0]), np.zeros((2, 2))), ValueError),
+            ("spectrum", qcore._derived(qcore.Spectrum, np.array([1.0, 2.0]), np.eye(2)), ValueError),
             ("kappa", 3.0, ValueError),
             ("kappa", np.nan, ValueError),
         ],

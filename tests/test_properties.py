@@ -220,7 +220,7 @@ def test_fitted_partial_readout_matches_exact(rho):
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # no token makes a slow valid run: 30 clock qubits is over the memory budget
-FUZZ_TOKENS = ("", "nan", "-1", "1e400", "abc", "0", "30")
+FUZZ_TOKENS = ("", "nan", "-1", "1e400", "abc", "0", "30", "6%", "%(x)s")
 # the command that reads a section's keys; solve reads the others
 SECTION_COMMAND = {"sweep": "sweep", "tomography": "tomography"}
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hhlsim import qcore
-from hhlsim.errors import DimensionMismatch, EmptyKeepSet, IndexOutOfRange, NotHermitian
+from hhlsim.errors import DimensionMismatch, EmptyKeepSet, IndexOutOfRange, NotHermitian, NotUnitary
 from hhlsim.qcore import (
     DensityMatrix,
     PureState,
@@ -71,6 +71,34 @@ class TestEigHermitian:
             overlaps = s.eigenvectors.conj().T @ s.eigenvectors
             assert np.max(np.abs(overlaps - np.eye(n))) < 1e-10
             assert np.all(np.diff(s.eigenvalues) >= -1e-12)
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize(
+        "eigenvalues, eigenvectors, error",
+        [
+            # unchecked, this spectrum gave exp(-iAt) = 0 for every t
+            ([1.0, 2.0], np.zeros((2, 2)), NotUnitary),
+            ([2.0, 1.0], np.eye(2), ValueError),
+            ([np.nan, 1.0], np.eye(2), ValueError),
+            ([1.0, 2.0], np.array([[1.0, np.inf], [0.0, 1.0]]), ValueError),
+            ([1.0, 2.0, 3.0], np.eye(2), DimensionMismatch),
+            ([[1.0, 2.0]], np.eye(2), DimensionMismatch),
+            ([], np.zeros((0, 0)), DimensionMismatch),
+        ],
+        ids=[
+            "zero_eigenvectors", "descending", "nan_eigenvalue", "inf_eigenvector", "other_width", "eigenvalue_matrix",
+            "empty",
+        ],
+    )
+    def test_rejects(self, eigenvalues, eigenvectors, error):
+        with pytest.raises(error):
+            qcore.Spectrum(eigenvalues, eigenvectors)
+
+    def test_accepts_repeated_eigenvalues_and_freezes(self):
+        s = qcore.Spectrum([1.0, 1.0], np.eye(2))
+        assert s.eigenvectors.dtype == complex
+        assert not s.eigenvalues.flags.writeable and not s.eigenvectors.flags.writeable
 
 
 class TestMatrixExp:
