@@ -14,7 +14,8 @@ subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +24,6 @@ from . import circuit as qcirc
 from . import qcore, reference
 from .circuit import Circuit, ControlledUnitary, Gate, Hadamard, MultiplexedRy
 from .errors import (
-    DimensionMismatch,
     EigenvalueNotEncodable,
     NotPositiveDefinite,
     RegisterTooWide,
@@ -37,40 +37,38 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Hermitian system A x = b with its spectral data.
+    """Hermitian system A x = b with the spectral data A implies.
 
-    ``b`` is a unit vector; all eigenvalues are strictly positive (the
-    inversion path rejects anything else).  The constructor is the boundary
-    for a system built outside the program and runs every check: A finite,
-    Hermitian and 2^n-dimensional; b a finite unit vector of A's width; the
-    spectrum's eigenvectors orthonormal with A V = V diag(lambda) to 1e-9 of
-    the largest eigenvalue; kappa = lambda_max / lambda_min to 1e-9 relative.
-    ``linear_system`` checks its inputs before decomposing A and builds its
-    result with ``qcore._derived``.
+    The constructor is the boundary for a system from outside the program
+    and takes only A and b.  It checks A (finite, 2^n-dimensional and
+    Hermitian to ``ATOL_STRUCTURAL`` of max|A|), then b (a finite unit
+    vector of A's width).  It then decomposes A once: ``spectrum`` holds its
+    ascending eigenvalues, all strictly positive (the inversion path rejects
+    anything else), and ``kappa`` = lambda_max / lambda_min.
     """
 
     a: np.ndarray
     b: np.ndarray
-    spectrum: Spectrum
-    kappa: float
+    spectrum: Spectrum = field(init=False)
+    kappa: float = field(init=False)
 
     def __post_init__(self):
-        m = _system_matrix(self.a)
-        vec = _finite_b(self.b, m.shape)
+        m = qcore.require_hermitian(self.a)
+        qcore._qubit_count(m.shape[0], "system")
+        vec = np.asarray(self.b, dtype=complex).reshape(-1)
+        if vec.size != m.shape[0]:
+            raise WidthMismatch(f"matrix {m.shape} incompatible with b of length {vec.size}")
+        if not np.all(np.isfinite(vec)):
+            raise ValueError("b contains non-finite entries")
         if abs((norm := np.linalg.norm(vec)) - 1.0) > qcore.ATOL_STRUCTURAL:
             raise ValueError(f"b must be a unit vector (norm {norm!r})")
-        w, v = self.spectrum.eigenvalues, self.spectrum.eigenvectors
-        if w.shape != (m.shape[0],) or v.shape != m.shape:
-            raise DimensionMismatch(f"spectrum of shapes {w.shape} and {v.shape} does not fit a {m.shape} matrix")
-        kappa = _condition_number(w)
-        tol = 1e-9 * float(w.max())
-        if qcore.unitarity_defect(v) > 1e-9 or np.max(np.abs(m @ v - v * w)) > tol:
-            raise ValueError("spectrum is not an orthonormal eigendecomposition of a")
-        if not abs(self.kappa - kappa) <= 1e-9 * kappa:
-            raise ValueError(f"kappa {self.kappa!r} is not lambda_max / lambda_min = {kappa!r}")
+        w, v = np.linalg.eigh(m)
+        if w[0] <= 0.0:
+            raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.6g} <= 0")
         object.__setattr__(self, "a", qcore._freeze(m))
         object.__setattr__(self, "b", qcore._freeze(vec))
-        object.__setattr__(self, "kappa", float(self.kappa))
+        object.__setattr__(self, "spectrum", qcore._derived(Spectrum, qcore._freeze(w), qcore._freeze(v)))
+        object.__setattr__(self, "kappa", float(w[-1] / w[0]))
 
     @property
     def n_solution_qubits(self) -> int:
@@ -81,44 +79,15 @@ class LinearSystem:
         return self.spectrum.eigenvectors.conj().T @ self.b
 
 
-def _system_matrix(a) -> np.ndarray:
-    m = qcore.require_hermitian(a)
-    qcore._qubit_count(m.shape[0], "system")
-    return m
-
-
-def _finite_b(b, shape: tuple[int, int]) -> np.ndarray:
-    vec = np.asarray(b, dtype=complex).reshape(-1)
-    if vec.size != shape[0]:
-        raise WidthMismatch(f"matrix {shape} incompatible with b of length {vec.size}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("b contains non-finite entries")
-    return vec
-
-
-def _condition_number(eigenvalues: np.ndarray) -> float:
-    lam_min = float(eigenvalues.min())
-    if lam_min <= 0.0:
-        raise NotPositiveDefinite(f"smallest eigenvalue {lam_min:.6g} <= 0")
-    return float(eigenvalues.max() / lam_min)
-
-
 def linear_system(a, b, *, normalize: bool = False) -> LinearSystem:
-    m = _system_matrix(a)
-    vec = _finite_b(b, m.shape)
-    if normalize:
-        peak = np.max(np.abs(vec))
-        if peak == 0.0:
-            raise ValueError("b must be nonzero")
+    """``LinearSystem(a, b)``; ``normalize`` first rescales a finite, nonzero b to unit norm."""
+    vec = np.asarray(b, dtype=complex).reshape(-1)
+    if normalize and np.all(np.isfinite(vec)) and (peak := np.max(np.abs(vec), initial=0.0)) > 0.0:
         # an exact power-of-two rescale to max|b| in [0.5, 1) keeps the norm clear of
         # overflow and underflow, and leaves the normalized bits as they were in range
         vec = np.ldexp(np.ascontiguousarray(vec).view(float), -np.frexp(peak)[1]).view(complex)
         vec = vec / np.linalg.norm(vec)
-    elif abs((norm := np.linalg.norm(vec)) - 1.0) > qcore.ATOL_STRUCTURAL:
-        raise ValueError(f"b must be a unit vector (norm {norm!r}); pass normalize=True to rescale")
-    w, v = np.linalg.eigh(m)
-    spectrum = qcore._derived(Spectrum, qcore._freeze(w), qcore._freeze(v))
-    return qcore._derived(LinearSystem, qcore._freeze(m), qcore._freeze(vec), spectrum, _condition_number(w))
+    return LinearSystem(a, vec)
 
 
 ROTATION_MODES = ("linear", "exact")
@@ -131,7 +100,10 @@ MAX_STATE_BYTES = 2**28
 
 
 def _is_positive_int(value) -> bool:
-    return bool(np.isfinite(value) and int(value) == value and value >= 1)
+    try:  # int() is exact on an int of any size or an integral float; nan and inf raise
+        return bool(int(value) == value and value >= 1)
+    except (ValueError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -184,17 +156,18 @@ def _clock_labels(sys: LinearSystem, cfg: SolverConfig) -> tuple[np.ndarray, boo
 
 
 def _require_within_budget(sys: LinearSystem, cfg: SolverConfig, *, density: bool, circuit: bool) -> None:
-    """Reject a run whose final state, or circuit, would exceed MAX_STATE_BYTES."""
-    t = cfg.clock_qubits
-    n = t + sys.n_solution_qubits + 1
+    """Reject a run whose final state, or circuit, would exceed MAX_STATE_BYTES.
+    Sizes are log2 of bytes (16 per entry), so a clock of any width is priced."""
+    t, nb = cfg.clock_qubits, sys.n_solution_qubits
+    n = t + nb + 1
     kind = "density matrix" if density else "state vector"
-    needs = {f"a {n}-qubit {kind}": 16 * (4**n if density else 2**n)}
+    needs = {f"a {n}-qubit {kind}": 4 + (2 * n if density else n)}
     if circuit:
-        # an evolution block per clock qubit in the QPE and its inverse; the 2^t angles are smaller than the state
-        needs[f"a {t}-qubit clock's circuit"] = 2 * t * 16 * 4**sys.n_solution_qubits
-    for what, size in needs.items():
-        if size > MAX_STATE_BYTES:
-            raise RegisterTooWide(f"{what} needs {size} bytes, over the {MAX_STATE_BYTES}-byte budget")
+        # 2t evolution blocks of 4^nb entries, in the QPE and its inverse; the 2^t angles are smaller than the state
+        needs[f"a {t}-qubit clock's circuit"] = 5 + 2 * nb + math.log2(t)
+    for what, bits in needs.items():
+        if bits > math.log2(MAX_STATE_BYTES):
+            raise RegisterTooWide(f"{what} needs 2^{bits:.6g} bytes, over the {MAX_STATE_BYTES}-byte budget")
 
 
 def conditional_evolution(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
@@ -234,7 +207,7 @@ def _inversion_rotation(cfg: SolverConfig, lam):
     the returned sin(theta/2) reports unclipped.
     """
     if cfg.rotation_mode == "linear":
-        theta = (TWO_PI / 2**cfg.r) / lam
+        theta = math.ldexp(TWO_PI, -cfg.r) / lam
         return theta, np.sin(theta / 2.0), np.cos(theta / 2.0)
     if cfg.c_tilde is None:
         raise ValueError("exact mode needs c_tilde (resolve_config fills the default)")
@@ -275,8 +248,9 @@ def resolve_config(sys: LinearSystem, cfg: SolverConfig) -> SolverConfig:
     """Fill the c_tilde default and check ``cfg`` against the spectrum.
 
     The one place a config meets a system; the pipeline stages take its
-    result as given.
+    result as given.  A clock too wide for any final state raises RegisterTooWide.
     """
+    _require_within_budget(sys, cfg, density=False, circuit=False)
     if cfg.rotation_mode == "exact":
         lam_min = float(sys.spectrum.eigenvalues.min())
         if cfg.c_tilde is not None and cfg.c_tilde > lam_min + 1e-9:
@@ -331,7 +305,6 @@ def theoretical_final_state(sys: LinearSystem, cfg: SolverConfig) -> PureState:
     amplitude sin(theta_j/2) in linear mode and c_tilde/lambda_j in exact
     mode.
     """
-    _require_within_budget(sys, cfg, density=False, circuit=False)
     cfg = resolve_config(sys, cfg)
     labels, exact = _clock_labels(sys, cfg)
     if not exact:

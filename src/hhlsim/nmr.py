@@ -74,6 +74,10 @@ class MoleculeParams:
             raise ValueError("carbon shift must be finite")
         if not (np.isfinite(self.linewidth) and self.linewidth > 0.0):
             raise ValueError("linewidth must be positive and finite")
+        # lines span sum |J_CF| and are drawn 20 linewidths beyond; lorentzian squares distances in that window
+        window = sum(float(abs(x)) for x in j[0, 1:]) + 40.0 * float(self.linewidth)
+        if not np.isfinite(window * window):
+            raise ValueError(f"carbon spectrum window of {window:.3g} Hz overflows when squared")
         object.__setattr__(self, "j_couplings", _freeze(np.real(j).astype(float)))
         object.__setattr__(self, "t2_star_ms", t2)
 

@@ -49,12 +49,14 @@ def hermiticity_defect(a: np.ndarray) -> float:
 
 
 def require_hermitian(a) -> np.ndarray:
+    """Checked square and Hermitian relative to its scale, so that A and c*A share a verdict:
+    max |A - A^dagger| <= ATOL_STRUCTURAL * max |A|, over real and imaginary parts."""
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"matrix is not square: {m.shape}")
-    defect = hermiticity_defect(m)
-    if defect > ATOL_STRUCTURAL:
-        raise NotHermitian(f"max |A - A^dagger| = {defect:.3e} > {ATOL_STRUCTURAL:.1e}")
+    defect, tol = hermiticity_defect(m), ATOL_STRUCTURAL * max(np.max(np.abs(m.real)), np.max(np.abs(m.imag)))
+    if defect > tol:
+        raise NotHermitian(f"max |A - A^dagger| = {defect:.3e} > {ATOL_STRUCTURAL:.1e} * max |A| = {tol:.3e}")
     return m
 
 
@@ -120,17 +122,6 @@ class Spectrum:
             raise NotUnitary(f"eigenvectors: max |V^dagger V - I| = {defect:.3e} > {ATOL_STRUCTURAL:.1e}")
         object.__setattr__(self, "eigenvalues", _freeze(w))
         object.__setattr__(self, "eigenvectors", _freeze(v))
-
-
-def eig_hermitian(a) -> Spectrum:
-    """Spectral decomposition of a Hermitian matrix.
-
-    Raises NotHermitian when the input deviates from A = A^dagger by more
-    than 1e-10 in max norm.
-    """
-    m = require_hermitian(a)
-    w, v = np.linalg.eigh(m)
-    return Spectrum(w, v)
 
 
 def matrix_exp_hermitian(s: Spectrum, t: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -82,20 +82,16 @@ def _segment_matrix(segment: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ReadoutPulse:
-    """A named readout sequence and its realized 16x16 operator."""
+    """A named readout sequence and the 16x16 operator its name spells (see ``_segment_matrix``)."""
 
     name: str
-    operator: np.ndarray
+    operator: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "operator", _freeze(qcore.require_unitary(self.operator)))
-
-
-def parse_pulse(name: str) -> ReadoutPulse:
-    op = np.eye(_DIM, dtype=complex)
-    for segment in name.split("*"):
-        op = op @ _segment_matrix(segment)
-    return ReadoutPulse(name=name, operator=op)
+        op = np.eye(_DIM, dtype=complex)
+        for segment in self.name.split("*"):
+            op = op @ _segment_matrix(segment)
+        object.__setattr__(self, "operator", _freeze(op))
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +103,7 @@ def pulse_catalog(kind: str) -> tuple[ReadoutPulse, ...]:
         names = FULL_CATALOG_NAMES
     else:
         raise ValueError(f"catalog kind must be 'full' or 'partial', got {kind!r}")
-    return tuple(parse_pulse(n) for n in names)
+    return tuple(ReadoutPulse(n) for n in names)
 
 
 @dataclass(frozen=True, eq=False)

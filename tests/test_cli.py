@@ -37,6 +37,9 @@ r = 2
 """
 
 
+# nmr's default coupling table as a [molecule] j_couplings value
+DEFAULT_J = "0 128 48 -12 ; 128 0 69 47 ; 48 69 0 -128 ; -12 47 -128 0"
+
 # every shipped config that has the section a command needs
 _NEEDED_SECTION = {"solve": "", "sweep": "[sweep]", "tomography": "[tomography]", "spectrum": ""}
 RERUN_CASES = [
@@ -251,6 +254,40 @@ class TestSolveCommand:
         assert run_cli(["solve", "--config", config, "--out", out]) == 0
         assert widths and max(widths) <= 4
         assert not (out / "final_spectrum.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value, error",
+        [
+            ("solve", "r", "1024", "ZeroProbabilityBranch"),
+            ("sweep", "values", "1 2 1024", "ZeroProbabilityBranch"),
+            ("solve", "clock_qubits", "2000", "RegisterTooWide"),
+            ("solve", "j_couplings", DEFAULT_J.replace("128", "1.7e308", 2), "ConfigParseError"),
+            ("spectrum", "j_couplings", DEFAULT_J.replace("128", "1.7e308", 2), "ConfigParseError"),
+            ("spectrum", "linewidth", "3e154", "ConfigParseError"),
+            ("spectrum", "linewidth", "1e153", "ConfigParseError"),
+            ("solve", "matrix", "1.5e-12 0.6e-12 ; 0.5e-12 1.5e-12", "ConfigParseError"),
+        ],
+        ids=[
+            "r_1024", "sweep_r_1024", "clock_qubits_2000", "j_coupling_overflow_solve", "j_coupling_overflow_spectrum",
+            "linewidth_3e154", "linewidth_1e153", "tiny_asymmetric_matrix",
+        ],
+    )
+    def test_extreme_values_exit_2_and_write_nothing(self, tmp_path, capsys, command, key, value, error):
+        # each of these exited 1, or exited 0 with NaN or a wrong answer in its files
+        lines = (CONFIG_DIR / "experiment1.ini").read_text().splitlines()
+        lines.insert(lines.index("[molecule]") + 1, f"j_couplings = {DEFAULT_J}")
+        # exact mode at the scale of the tiny A, where the run succeeded with a 10% error
+        values = {key: value, "mode": "exact", "t0": "6.283185307179586e12"} if key == "matrix" else {key: value}
+        for i, line in enumerate(lines):
+            name = line.split(" =")[0]
+            if name in values:
+                lines[i] = f"{name} = {values[name]}"
+        config = tmp_path / "extreme.ini"
+        config.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert run_cli([command, "--config", config, "--out", out]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == error
+        assert not out.exists() or not any(out.iterdir())
 
     def test_mode_override(self, tmp_path):
         out_linear = tmp_path / "lin"

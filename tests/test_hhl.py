@@ -71,16 +71,17 @@ class TestLinearSystem:
 
 
 class TestLinearSystemConstructor:
-    """``LinearSystem`` built directly runs every check ``linear_system`` makes."""
+    """``LinearSystem(a, b)`` checks A, then b, and derives the spectrum and kappa itself."""
 
     def fields(self):
         s = demo_system([1.0, 0.0])
-        return {"a": s.a, "b": s.b, "spectrum": s.spectrum, "kappa": s.kappa}
+        return {"a": s.a, "b": s.b}
 
     def test_accepts_a_checked_system(self):
         s = hhl.LinearSystem(**self.fields())
         assert s.kappa == 2.0
         assert not s.a.flags.writeable and not s.b.flags.writeable
+        assert not s.spectrum.eigenvalues.flags.writeable and not s.spectrum.eigenvectors.flags.writeable
 
     def test_rejects_a_b_that_is_not_a_unit_vector(self):
         # unchecked, this system ran to a final state of norm 1.414 and a success probability of 0.5
@@ -95,23 +96,38 @@ class TestLinearSystemConstructor:
             ("a", np.eye(3), DimensionMismatch),
             ("b", np.array([1.0, 0.0, 0.0]), WidthMismatch),
             ("b", np.array([np.nan, 1.0]), ValueError),
-            # spectra that Spectrum itself rejects, built unchecked to reach LinearSystem's own checks
-            ("spectrum", qcore._derived(qcore.Spectrum, np.array([1.0, 2.0, 3.0]), np.eye(2)), DimensionMismatch),
-            ("spectrum", qcore._derived(qcore.Spectrum, np.array([-1.0, 2.0]), np.eye(2)), NotPositiveDefinite),
-            ("spectrum", qcore._derived(qcore.Spectrum, np.array([1.0, 2.0]), np.zeros((2, 2))), ValueError),
-            ("spectrum", qcore._derived(qcore.Spectrum, np.array([1.0, 2.0]), np.eye(2)), ValueError),
-            ("kappa", 3.0, ValueError),
-            ("kappa", np.nan, ValueError),
+            ("a", np.diag([-1.0, 2.0]), NotPositiveDefinite),
         ],
-        ids=[
-            "non_hermitian_a", "nan_a", "a_without_register", "b_of_other_width", "nan_b",
-            "spectrum_of_other_width", "negative_eigenvalue", "zero_eigenvectors", "eigenvectors_of_another_matrix",
-            "wrong_kappa", "nan_kappa",
-        ],
+        ids=["non_hermitian_a", "nan_a", "a_without_register", "b_of_other_width", "nan_b", "negative_eigenvalue"],
     )
     def test_rejects_each_bad_field(self, field, value, error):
         with pytest.raises(error):
             hhl.LinearSystem(**{**self.fields(), field: value})
+
+    @pytest.mark.parametrize("derived", ["spectrum", "kappa"])
+    def test_derived_fields_are_not_arguments(self, derived):
+        s = demo_system([1.0, 0.0])
+        with pytest.raises(TypeError):
+            hhl.LinearSystem(s.a, s.b, **{derived: getattr(s, derived)})
+
+    @pytest.mark.parametrize("n_b", [1, 2, 3])
+    def test_equals_linear_system_bit_for_bit(self, n_b):
+        rng = np.random.default_rng(30 + n_b)
+        dim = 2**n_b
+        for _ in range(10):
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            a = (q * rng.uniform(0.5, 3.0, size=dim)) @ q.conj().T
+            b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            b /= np.linalg.norm(b)
+            direct, built = hhl.LinearSystem(a, b), hhl.linear_system(a, b)
+            for x, y in [
+                (direct.a, built.a),
+                (direct.b, built.b),
+                (direct.spectrum.eigenvalues, built.spectrum.eigenvalues),
+                (direct.spectrum.eigenvectors, built.spectrum.eigenvectors),
+            ]:
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+            assert direct.kappa == built.kappa
 
     def test_linear_system_checks_a_once(self, monkeypatch):
         calls = []
@@ -124,6 +140,89 @@ class TestLinearSystemConstructor:
         monkeypatch.setattr(qcore, "require_hermitian", counting)
         demo_system([1.0, 0.0])
         assert calls == [(2, 2)]
+
+
+def rebuild(s):
+    """The matrix a spectral decomposition describes, V diag(w) V^dagger."""
+    return (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.conj().T
+
+
+def random_positive_definite(rng, n):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return m @ m.conj().T + np.eye(n)
+
+
+class TestLinearSystemSpectrum:
+    """The one eigendecomposition of A, taken by ``LinearSystem``."""
+
+    def test_demo_matrix(self):
+        s = demo_system([1.0, 0.0]).spectrum
+        assert np.allclose(s.eigenvalues, [1.0, 2.0], atol=1e-12)
+        assert abs(abs(np.vdot(s.eigenvectors[:, 0], [2**-0.5, -(2**-0.5)])) - 1.0) < 1e-10
+        assert abs(abs(np.vdot(s.eigenvectors[:, 1], [2**-0.5, 2**-0.5])) - 1.0) < 1e-10
+
+    def test_identity(self):
+        s = hhl.LinearSystem(np.eye(2), [1.0, 0.0]).spectrum
+        assert np.allclose(s.eigenvalues, [1.0, 1.0])
+        overlaps = s.eigenvectors.conj().T @ s.eigenvectors
+        assert np.allclose(overlaps, np.eye(2), atol=1e-10)
+
+    def test_random_reconstruction(self):
+        rng = np.random.default_rng(101)
+        a = random_positive_definite(rng, 4)
+        s = hhl.LinearSystem(a, np.eye(4)[0]).spectrum
+        assert np.max(np.abs(rebuild(s) - a)) < 1e-9 * np.max(np.abs(a))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitian):
+            hhl.LinearSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0, 0.0])
+
+    def test_round_trip_many_sizes(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n = 2 ** int(rng.integers(1, 5))
+            a = random_positive_definite(rng, n)
+            s = hhl.LinearSystem(a, np.eye(n)[0]).spectrum
+            assert np.max(np.abs(rebuild(s) - a)) < 1e-9 * np.max(np.abs(a))
+            overlaps = s.eigenvectors.conj().T @ s.eigenvectors
+            assert np.max(np.abs(overlaps - np.eye(n))) < 1e-10
+            assert np.all(np.diff(s.eigenvalues) >= -1e-12)
+
+
+class TestHermiticityScale:
+    """A and 10^k A are accepted or rejected alike: the check is relative to max|A|."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            A_DEMO,
+            np.array([[1.5, 0.6], [0.5, 1.5]]),
+            np.array([[1.5, 0.5 + 1e-9j], [0.5, 1.5]]),
+            np.array([[1.5, 0.5 + 1e-11], [0.5, 1.5]]),
+        ],
+        ids=["hermitian", "asymmetric", "off_by_1e-9", "off_by_1e-11"],
+    )
+    def test_scaled_matrices_get_one_verdict(self, a):
+        verdicts = []
+        for k in (-12, 0, 12):
+            try:
+                hhl.LinearSystem(10.0**k * a, [1.0, 0.0])
+                verdicts.append("accepted")
+            except NotHermitian:
+                verdicts.append("rejected")
+        assert len(set(verdicts)) == 1
+
+    def test_small_asymmetric_matrix_rejected(self):
+        # with an absolute 1e-10 bound this passed, and eigh solved its lower triangle, not A
+        with pytest.raises(NotHermitian):
+            hhl.LinearSystem(np.array([[1.5e-12, 0.6e-12], [0.5e-12, 1.5e-12]]), [1.0, 0.0])
+
+    def test_rounding_of_a_large_matrix_accepted(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+            a = (q * np.linspace(1e6, 2e6, 8)) @ q.conj().T
+            hhl.LinearSystem(a, np.eye(8)[0])
 
 
 class TestSolverConfig:
@@ -149,6 +248,23 @@ class TestSolverConfig:
     def test_clock_qubits_is_stored_as_int(self):
         t = hhl.SolverConfig(clock_qubits=3.0).clock_qubits
         assert t == 3 and type(t) is int
+
+    @pytest.mark.parametrize("r", [1024, 10**400], ids=["past_the_float_range", "past_int64"])
+    def test_huge_r_leaves_no_post_selection(self, r):
+        # 2**r as a float overflowed here; 2pi / 2^r now rounds to a subnormal or to 0
+        with pytest.raises(ZeroProbabilityBranch):
+            hhl.run_hhl(demo_system([1.0, 0.0]), hhl.SolverConfig(r=r))
+
+    @pytest.mark.parametrize("t", [2000, 10**12], ids=["past_the_float_range", "a_trillion"])
+    def test_huge_clock_is_over_budget_before_any_2_to_the_t(self, t):
+        with pytest.raises(RegisterTooWide):
+            hhl.resolve_config(demo_system([1.0, 0.0]), hhl.SolverConfig(clock_qubits=t))
+
+    def test_small_r_keeps_the_bits_of_a_power_of_two_division(self):
+        lam = np.array([1.0, 2.0, 3.0])
+        for r in (1, 2, 17, 1023):
+            theta, _, _ = hhl._inversion_rotation(hhl.SolverConfig(r=r), lam)
+            assert np.array_equal(theta, (2.0 * np.pi / 2**r) / lam)
 
 
 class TestPrepareB:

@@ -256,6 +256,26 @@ class TestMoleculeParams:
         with pytest.raises(ValueError):
             nmr.MoleculeParams(j_couplings=j)
 
+    @pytest.mark.parametrize(
+        "linewidth, j_cf",
+        [(3e154, 128.0), (1e153, 128.0), (1.0, 1.7e308)],
+        ids=["linewidth_3e154", "linewidth_1e153", "j_coupling_1.7e308"],
+    )
+    def test_rejects_a_spectrum_window_that_overflows(self, linewidth, j_cf):
+        # these wrote NaN spectra, raised OverflowError or warned in lorentzian
+        j = np.zeros((4, 4))
+        j[0, 1] = j[1, 0] = j_cf
+        with pytest.raises(ValueError, match="window"):
+            nmr.MoleculeParams(j_couplings=j, linewidth=linewidth)
+
+    def test_widest_window_renders_finite(self):
+        molecule = nmr.MoleculeParams(linewidth=1e152)
+        rho = DensityMatrix(np.diag(np.arange(1.0, 17.0)) / 136.0)
+        spectrum = nmr.synthesize_spectrum(rho, molecule)
+        centers = [p.center for p in spectrum.peaks]
+        freqs = np.linspace(min(centers) - 2e153, max(centers) + 2e153, 2001)
+        assert np.all(np.isfinite(spectrum.sample(freqs)))
+
     def test_rejects_bad_t2(self):
         with pytest.raises(ValueError):
             nmr.MoleculeParams(t2_star_ms=(1.0, 1.0, -1.0, 1.0))

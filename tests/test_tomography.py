@@ -47,7 +47,7 @@ class TestPulseCatalog:
     def test_swap_composes_before_letters(self):
         # rightmost segment acts first: YEEE*swap14 moves qubit 4 onto the
         # carbon spin and then applies the readout rotation
-        pulse = tomo.parse_pulse("YEEE*swap14")
+        pulse = tomo.ReadoutPulse("YEEE*swap14")
         swap = tomo._swap_permutation(0, 3)
         letters = np.kron(qcore.rotation_y(np.pi / 2.0), np.eye(8))
         assert np.max(np.abs(pulse.operator - letters @ swap)) < 1e-12
@@ -65,7 +65,11 @@ class TestPulseCatalog:
     def test_malformed_names_rejected(self):
         for name in ("EEE", "EEEZ", "swap15*EEEE", "swap1*EEEE"):
             with pytest.raises(ValueError):
-                tomo.parse_pulse(name)
+                tomo.ReadoutPulse(name)
+
+    def test_operator_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            tomo.ReadoutPulse("EEEE", np.eye(16))
 
     def test_unknown_catalog_kind(self):
         with pytest.raises(ValueError):
@@ -74,11 +78,11 @@ class TestPulseCatalog:
 
 class TestSimulateReadout:
     def test_identity_pulse_on_ground_state(self):
-        rec = tomo.simulate_readout(basis_state(4, 0).density(), [tomo.parse_pulse("EEEE")])[0]
+        rec = tomo.simulate_readout(basis_state(4, 0).density(), [tomo.ReadoutPulse("EEEE")])[0]
         assert rec.populations[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_swap_moves_qubit4_to_carbon(self):
-        rec = tomo.simulate_readout(basis_state(4, 1).density(), [tomo.parse_pulse("YEEE*swap14")])[0]
+        rec = tomo.simulate_readout(basis_state(4, 1).density(), [tomo.ReadoutPulse("YEEE*swap14")])[0]
         assert rec.populations[0b0000] == pytest.approx(0.5, abs=1e-12)
         assert rec.populations[0b1000] == pytest.approx(0.5, abs=1e-12)
 
@@ -93,7 +97,7 @@ class TestSimulateReadout:
         pops = rng.random(16)
         pops /= pops.sum()
         rho = DensityMatrix(np.diag(pops).astype(complex))
-        rec = tomo.simulate_readout(rho, [tomo.parse_pulse("YEEE")])[0]
+        rec = tomo.simulate_readout(rho, [tomo.ReadoutPulse("YEEE")])[0]
         for i in range(8):
             assert np.real(rec.peak_amplitudes[i]) == pytest.approx(pops[i] - pops[i + 8], abs=1e-12)
 
