@@ -8,6 +8,7 @@ MultiplexedRy, a rotation whose angle the clock label selects.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -133,34 +134,34 @@ class Circuit:
         return len(self.gates)
 
 
-def _apply_block(tensor: np.ndarray, matrix: np.ndarray, axes: Sequence[int]) -> None:
-    """Multiply ``matrix`` in place into the given tensor axes (first axis = block MSB);
-    a (2^s, d, d) stack applies block i where the first s axes spell i."""
-    rest = [ax for ax in range(tensor.ndim) if ax not in axes]
-    view = tensor.transpose(list(axes) + rest)
-    stack = matrix.reshape(-1, *matrix.shape[-2:])
-    view[...] = (stack @ view.reshape(len(stack), matrix.shape[-1], -1)).reshape(view.shape)
+@functools.lru_cache(maxsize=None)
+def _plan(ndim: int, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...], offset: int) -> tuple:
+    """Index of the slice the controls select, and the axis order of that slice that puts the targets first."""
+    idx = [slice(None)] * ndim
+    for q, v in controls:
+        idx[q + offset] = v
+    # integer indexing removed the control axes; shift target positions
+    axes = [q + offset - sum(c < q for c, _ in controls) for q in targets]
+    rest = [ax for ax in range(ndim - len(controls)) if ax not in axes]
+    return tuple(idx), tuple(axes + rest)
 
 
 def _apply_gate_tensor(tensor: np.ndarray, g: Gate, offset: int, conjugate: bool) -> None:
     """Apply a gate in place to the tensor axes [offset, offset + n).
 
-    The block acts on the slice the controls select, which for a gate
-    without controls is the whole tensor.  ``conjugate`` selects the bra
-    side of a density matrix, where the entry transformation
-    rho -> U rho U^dagger multiplies conj(U) into the bra indices.
+    The block acts on the slice the controls select (the whole tensor when
+    there are none); a (2^s, d, d) stack applies block i where the block's
+    first s axes spell i.  ``conjugate`` selects the bra side of a density
+    matrix, where rho -> U rho U^dagger multiplies conj(U) into the bra indices.
     """
     targets, block = _gate_block(g)
     if conjugate:
         block = block.conj()
     controls = g.controls if isinstance(g, ControlledUnitary) else ()
-    idx = [slice(None)] * tensor.ndim
-    for q, v in controls:
-        idx[q + offset] = v
-    idx = tuple(idx)
-    # integer indexing removed the control axes; shift target positions
-    adj = [q + offset - sum(c < q for c, _ in controls) for q in targets]
-    _apply_block(tensor[idx], block, adj)
+    idx, perm = _plan(tensor.ndim, targets, controls, offset)
+    view = tensor[idx].transpose(perm)
+    stack = block.reshape(-1, *block.shape[-2:])
+    view[...] = (stack @ view.reshape(len(stack), block.shape[-1], -1)).reshape(view.shape)
 
 
 def run_circuit(state: PureState, c: Circuit) -> PureState:

@@ -38,7 +38,7 @@ class EigenvalueNotEncodable(HhlsimError):
 
 
 class SingularMatrix(HhlsimError):
-    """Pivot collapsed during elimination; system has no unique solution."""
+    """LU factorisation met a zero pivot, or the solution is not finite."""
 
 
 class NotPositiveDefinite(HhlsimError):

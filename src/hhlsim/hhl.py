@@ -44,7 +44,7 @@ class LinearSystem:
     Hermitian to ``ATOL_STRUCTURAL`` of max|A|), then b (a finite unit
     vector of A's width).  It then decomposes A once: ``spectrum`` holds its
     ascending eigenvalues, all strictly positive (the inversion path rejects
-    anything else), and ``kappa`` = lambda_max / lambda_min.
+    anything else), and the finite ``kappa`` = lambda_max / lambda_min.
     """
 
     a: np.ndarray
@@ -65,10 +65,13 @@ class LinearSystem:
         w, v = np.linalg.eigh(m)
         if w[0] <= 0.0:
             raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.6g} <= 0")
+        # eigh of an A near the float range can return inf; so can the ratio of finite eigenvalues
+        if not np.isfinite(kappa := float(w[-1]) / float(w[0])):
+            raise EigenvalueNotEncodable(f"eigenvalues {w[0]:.6g} to {w[-1]:.6g} give kappa = {kappa}")
         object.__setattr__(self, "a", qcore._freeze(m))
         object.__setattr__(self, "b", qcore._freeze(vec))
         object.__setattr__(self, "spectrum", qcore._derived(Spectrum, qcore._freeze(w), qcore._freeze(v)))
-        object.__setattr__(self, "kappa", float(w[-1] / w[0]))
+        object.__setattr__(self, "kappa", kappa)
 
     @property
     def n_solution_qubits(self) -> int:

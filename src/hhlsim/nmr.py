@@ -61,10 +61,11 @@ class MoleculeParams:
 
     def __post_init__(self):
         j = _DEFAULT_J if self.j_couplings is None else np.asarray(self.j_couplings)
-        if j.shape != (4, 4) or np.max(np.abs(j - j.T)) > 0.0:
-            raise DimensionMismatch("J table must be a symmetric 4x4 matrix")
         if not np.all(np.isfinite(j)):
             raise ValueError("J table entries must be finite")
+        # compared, not subtracted: j - j.T overflows for entries of opposite sign near the float range
+        if j.shape != (4, 4) or np.any(j != j.T):
+            raise DimensionMismatch("J table must be a symmetric 4x4 matrix")
         if np.any(np.imag(j) != 0.0):
             raise ValueError("J table entries must be real")
         t2 = tuple(float(x) for x in self.t2_star_ms)

@@ -45,7 +45,9 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a - a.conj().T)))
+    """max |A - A^dagger| (inf past the float range), from A / 4 so that no entry overflows."""
+    q = a / 4.0
+    return 4.0 * float(np.max(np.abs(q - q.conj().T)))
 
 
 def require_hermitian(a) -> np.ndarray:

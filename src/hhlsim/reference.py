@@ -1,8 +1,8 @@
 """Classical solvers used as ground truth for the quantum pipeline.
 
-Desk-scale dense systems only: Gaussian elimination with partial pivoting
-and a plain conjugate gradient iteration, both checked against each other
-in the test suite.
+Desk-scale dense systems only: LAPACK's LU solve with partial pivoting
+(``zgesv`` through ``numpy.linalg.solve``) and a plain conjugate gradient
+iteration, both checked against each other in the test suite.
 """
 
 from __future__ import annotations
@@ -14,32 +14,24 @@ import numpy as np
 from .errors import NotPositiveDefinite, SingularMatrix
 from .qcore import as_complex_matrix
 
-PIVOT_THRESHOLD = 1e-12
-
 
 def direct_solve(a, b) -> np.ndarray:
-    """Solve A x = b by Gaussian elimination with partial pivoting.
+    """Solve A x = b by LU factorisation with partial pivoting (LAPACK ``zgesv``).
 
-    Raises SingularMatrix when a pivot magnitude falls below 1e-12.
+    There is no pivot threshold.  Raises SingularMatrix when a pivot is
+    exactly zero, or when x is not finite (a pivot too small for this b).
     """
-    m = as_complex_matrix(a).copy()
-    rhs = np.asarray(b, dtype=complex).reshape(-1).copy()
+    m = as_complex_matrix(a)
+    rhs = np.asarray(b, dtype=complex).reshape(-1)
     n = m.shape[0]
     if m.shape[1] != n or rhs.size != n:
         raise SingularMatrix(f"incompatible shapes {m.shape} and {rhs.shape}")
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(m[col:, col])))
-        if abs(m[pivot_row, col]) < PIVOT_THRESHOLD:
-            raise SingularMatrix(f"pivot magnitude {abs(m[pivot_row, col]):.3e} below 1e-12")
-        if pivot_row != col:
-            m[[col, pivot_row]] = m[[pivot_row, col]]
-            rhs[[col, pivot_row]] = rhs[[pivot_row, col]]
-        factors = m[col + 1 :, col] / m[col, col]
-        m[col + 1 :, col:] -= np.outer(factors, m[col, col:])
-        rhs[col + 1 :] -= factors * rhs[col]
-    x = np.zeros(n, dtype=complex)
-    for row in range(n - 1, -1, -1):
-        x[row] = (rhs[row] - m[row, row + 1 :] @ x[row + 1 :]) / m[row, row]
+    try:
+        x = np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"LU factorisation failed: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularMatrix("solution is not finite: a pivot is too small for this b")
     return x
 
 

@@ -6,8 +6,8 @@ table.  This test reruns the table's CLI runs in one process through
 ``cli.main`` and names every artifact whose bytes moved, then reruns them into
 the directories they filled, which must give the same bytes.  A change that moves
 bytes on purpose regenerates the listing (see the tool's docstring) and
-states each change.  Digests depend on the numpy build, so on another numpy
-version the test skips.
+states each change.  Digests depend on the numpy and BLAS builds, so on
+another build of either the test skips and names both.
 """
 
 import contextlib
@@ -15,7 +15,6 @@ import importlib.util
 import io
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from hhlsim import cli
@@ -52,9 +51,9 @@ def assert_same(expected, actual, when):
 
 
 def test_cli_artifacts_match_the_committed_listing(tmp_path, monkeypatch):
-    numpy_version, listed = digests.read_listing()
-    if numpy_version != np.__version__:
-        pytest.skip(f"listing made with numpy {numpy_version}, this is numpy {np.__version__}")
+    listed_build, listed = digests.read_listing()
+    if listed_build != digests.build():
+        pytest.skip(f"listing made with {listed_build}, this is {digests.build()}")
     n = len(digests.CLI)
     cli_runs = [(name, argv[n:]) for name, argv in digests.runs() if argv[:n] == digests.CLI]
     assert len(cli_runs) == 60

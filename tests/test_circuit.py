@@ -199,6 +199,62 @@ class TestMultiplexedRy:
             qc.MultiplexedRy((), 0, [0.0])
 
 
+def random_unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+def random_layout_gate(rng, n):
+    """A gate of any kind on random qubits: controlled blocks with controls before,
+    between and after their targets, and multiplexed rotations with shuffled selectors."""
+    kind = int(rng.integers(0, 4 if n >= 2 else 2))
+    if kind == 0:
+        return qc.Hadamard(int(rng.integers(n)))
+    qubits = [int(q) for q in rng.permutation(n)]
+    if kind == 1:
+        k = int(rng.integers(1, min(3, n) + 1))
+        controls = tuple((q, int(rng.integers(2))) for q in qubits[k:][: int(rng.integers(0, n - k + 1))])
+        return qc.ControlledUnitary(controls, tuple(qubits[:k]), random_unitary(rng, 2**k))
+    if kind == 2 and n >= 5:
+        # targets non-adjacent and out of order, one control before, between and after them
+        p = sorted(int(q) for q in rng.choice(n, size=5, replace=False))
+        controls = tuple((q, int(rng.integers(2))) for q in (p[4], p[0], p[2]))
+        return qc.ControlledUnitary(controls, (p[3], p[1]), random_unitary(rng, 4))
+    s = int(rng.integers(1, min(3, n - 1) + 1))
+    return qc.MultiplexedRy(qubits[:s], qubits[s], rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=2**s))
+
+
+def dense_unitary(c):
+    """The circuit's full unitary from ``embed_full``; a MultiplexedRy enters as its label-keyed rotations."""
+    full = np.eye(2**c.n_qubits, dtype=complex)
+    for g in c.gates:
+        parts = label_keyed_rotations(g.selectors, g.target, g.angles) if isinstance(g, qc.MultiplexedRy) else (g,)
+        for part in parts:
+            full = embed_full(part, c.n_qubits) @ full
+    return full
+
+
+class TestGateLayouts:
+    """Both engines match the dense oracle on every gate layout, and a layout
+    applied again (its plan now cached) gives the same bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_engines_match_dense_oracle_and_repeat_bit_for_bit(self, n):
+        rng = np.random.default_rng(700 + n)
+        for _ in range(3):
+            c = qc.Circuit(n, tuple(random_layout_gate(rng, n) for _ in range(12)))
+            u = dense_unitary(c)
+            state = random_state(rng, n)
+            # a rank-2 mixed state, so the bra side differs from the ket side
+            rho = DensityMatrix(0.7 * state.density().matrix + 0.3 * random_state(rng, n).density().matrix)
+            pure = qc.run_circuit(state, c).amplitudes
+            mixed = qc.evolve_density(rho, c).matrix
+            assert np.max(np.abs(pure - u @ state.amplitudes)) < 1e-12
+            assert np.max(np.abs(mixed - u @ rho.matrix @ u.conj().T)) < 1e-12
+            assert np.array_equal(qc.run_circuit(state, c).amplitudes, pure)
+            assert np.array_equal(qc.evolve_density(rho, c).matrix, mixed)
+
+
 class TestQft:
     def dense_qft(self, t):
         big_t = 2**t

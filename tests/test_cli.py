@@ -289,6 +289,41 @@ class TestSolveCommand:
         assert json.loads(capsys.readouterr().err)["error"]["type"] == error
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "matrix, j",
+        [
+            ("1 1.7e308 ; -1.7e308 1", DEFAULT_J),
+            ("1.5 0.5 ; 0.5 1.5", DEFAULT_J.replace("0 128", "0 1.7e308", 1).replace("128 0", "-1.7e308 0", 1)),
+            ("1e308 1e308 ; 1e308 1.5e308", DEFAULT_J),
+        ],
+        ids=["asymmetric_matrix_overflow", "asymmetric_j_overflow", "infinite_eigenvalue"],
+    )
+    def test_overflowing_input_leaves_one_json_line_on_stderr(self, tmp_path, matrix, j):
+        # each exited 2, but after a numpy RuntimeWarning line on stderr
+        config = tmp_path / "overflow.ini"
+        config.write_text(f"[system]\nmatrix = {matrix}\nb = 1 0\n[molecule]\nj_couplings = {j}\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hhlsim.cli", "solve", "--config", str(config), "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"]["type"] == "ConfigParseError"
+
+    def test_nearly_singular_scale_solves(self, tmp_path):
+        # kappa = 2 at the scale 1e-13; an absolute 1e-12 pivot rule refused it with SingularMatrix, exit 1
+        config = tmp_path / "tiny.ini"
+        config.write_text(
+            "[system]\nmatrix = 1.5e-13 0.5e-13 ; 0.5e-13 1.5e-13\nb = 1 0\n"
+            "[solver]\nmode = exact\nt0 = 62831853071795.86\n"
+        )
+        out = tmp_path / "o"
+        assert run_cli(["solve", "--config", config, "--out", out]) == 0
+        report = read_json(out / "solve_report.json")
+        x = np.array(report["x_classical"]["re"]) + 1j * np.array(report["x_classical"]["im"])
+        assert np.max(np.abs(x / np.linalg.norm(x) - np.array([3.0, -1.0]) / np.sqrt(10.0))) < 1e-12
+
     def test_mode_override(self, tmp_path):
         out_linear = tmp_path / "lin"
         out_exact = tmp_path / "ex"

@@ -97,8 +97,14 @@ class TestLinearSystemConstructor:
             ("b", np.array([1.0, 0.0, 0.0]), WidthMismatch),
             ("b", np.array([np.nan, 1.0]), ValueError),
             ("a", np.diag([-1.0, 2.0]), NotPositiveDefinite),
+            # eigh returns [2.19e307, inf]; accepted, this system had kappa = inf
+            ("a", np.array([[1e308, 1e308], [1e308, 1.5e308]]), EigenvalueNotEncodable),
+            ("a", np.diag([1e-300, 1e10]), EigenvalueNotEncodable),
         ],
-        ids=["non_hermitian_a", "nan_a", "a_without_register", "b_of_other_width", "nan_b", "negative_eigenvalue"],
+        ids=[
+            "non_hermitian_a", "nan_a", "a_without_register", "b_of_other_width", "nan_b", "negative_eigenvalue",
+            "infinite_eigenvalue", "kappa_overflow",
+        ],
     )
     def test_rejects_each_bad_field(self, field, value, error):
         with pytest.raises(error):

@@ -32,6 +32,17 @@ class TestDirectSolve:
         with pytest.raises(SingularMatrix):
             direct_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), [1.0, 0.0])
 
+    @pytest.mark.parametrize("k", [-150, -13, 0, 13, 150])
+    def test_scaled_matrix_gives_one_direction(self, k):
+        # an absolute 1e-12 pivot rule refused k = -13 and k = -150, where kappa is still 2
+        x = direct_solve(10.0**k * A_DEMO, [1.0, 0.0])
+        assert np.max(np.abs(x / np.linalg.norm(x) - np.array([3.0, -1.0]) / np.sqrt(10.0))) < 1e-12
+
+    def test_overflowing_solution_is_singular(self):
+        # LAPACK returns inf here without a warning
+        with pytest.raises(SingularMatrix, match="not finite"):
+            direct_solve(np.array([[1e-300, 0.0], [0.0, 1.0]]), [1e10, 0.0])
+
     def test_complex_hermitian(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))

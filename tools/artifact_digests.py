@@ -6,10 +6,10 @@ all), and the five demos; then the four commands again with ``--noise on``
 on each config (20 more), which reach the noise switch that the shipped
 configs leave off.  Each runs in its own directory under a temporary one,
 against this checkout's ``src/``.  The listing's first line names the numpy
-version it was made with; then, for each run, it has one line per artifact
-file, then one line each for stdout, stderr and the exit code::
+and BLAS builds it was made with; then, for each run, it has one line per
+artifact file, then one line each for stdout, stderr and the exit code::
 
-    numpy <version>
+    numpy <version> blas <name> <version>
     <run> <artifact> <sha256>
     <run> stdout <sha256>
     <run> stderr <sha256>
@@ -80,10 +80,16 @@ def digest_lines(name: str, workdir: Path, stdout: bytes, stderr: bytes, code: i
     return lines
 
 
+def build() -> str:
+    """The numpy and BLAS builds the digests depend on, as a listing's first line names them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__} blas {blas['name']} {blas['version']}"
+
+
 def read_listing() -> tuple[str, list[str]]:
-    """The numpy version the committed listing was made with, and its digest lines."""
+    """The builds the committed listing was made with, and its digest lines."""
     header, *lines = LISTING.read_text(encoding="utf-8").splitlines()
-    return header.removeprefix("numpy "), lines
+    return header, lines
 
 
 def digest_run(name: str, argv: list[str], workdir: Path) -> list[str]:
@@ -101,7 +107,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--keep", type=Path, help="write each run's files, stdout and stderr under this new directory")
     args = parser.parse_args(argv)
-    print(f"numpy {np.__version__}", flush=True)
+    print(build(), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         base = args.keep if args.keep is not None else Path(tmp)
         for name, run_argv in runs():
