@@ -97,15 +97,6 @@ def gate_qubits(g: Gate) -> tuple[int, ...]:
     return tuple(q for q, _ in g.controls) + g.targets
 
 
-def _gate_block(g: Gate) -> tuple[tuple[int, ...], np.ndarray]:
-    """Block qubits and the matrix, or stack of matrices, applied to them (controls handled separately)."""
-    if isinstance(g, Hadamard):
-        return (g.qubit,), _H
-    if isinstance(g, MultiplexedRy):
-        return g.selectors[::-1] + (g.target,), qcore.rotation_y(g.angles)
-    return g.targets, g.matrix
-
-
 def gate_inverse(g: Gate) -> Gate:
     if isinstance(g, Hadamard):
         return g
@@ -146,22 +137,94 @@ def _plan(ndim: int, targets: tuple[int, ...], controls: tuple[tuple[int, int], 
     return tuple(idx), tuple(axes + rest)
 
 
+# Up to this many entries after a Hadamard's axis, one matmul of all rows by
+# H (x) 1_after is faster than a matmul call per (2, after) block.
+_SHORT_ROWS = 16
+
+
+@functools.lru_cache(maxsize=None)
+def _hadamard_rows(after: int) -> np.ndarray:
+    """H (x) 1_after, which applies H to rows [x_0 | x_1] of 2 * after entries from the right (H is symmetric)."""
+    return qcore._freeze(np.kron(_H, np.eye(after)))
+
+
+@functools.lru_cache(maxsize=None)
+def _halves(ndim: int, target: int, controls: tuple[tuple[int, int], ...], offset: int) -> tuple:
+    """Indices of the target = 0 and target = 1 halves of the slice the controls select."""
+    idx = [slice(None)] * ndim
+    for q, v in controls:
+        idx[q + offset] = v
+    idx[target + offset] = 0
+    zero = tuple(idx)
+    idx[target + offset] = 1
+    return zero, tuple(idx)
+
+
+@functools.lru_cache(maxsize=None)
+def _selector_plan(ndim: int, selectors: tuple[int, ...], target: int, offset: int) -> tuple:
+    """Shapes and axis order that lay a MultiplexedRy's angle table over a
+    target half of the tensor (the target axis indexed away).
+
+    The table is keyed by the label, which reads ``selectors`` least
+    significant bit first, so its (2,) * s reshape has axis a on
+    selectors[s - 1 - a]; the permutation puts those axes in ascending qubit
+    order, and the broadcast shape spreads them over the selector axes.
+    """
+    s = len(selectors)
+    ascending = tuple(sorted(range(s), key=lambda a: selectors[s - 1 - a]))
+    shape = [1] * (ndim - 1)
+    for q in selectors:
+        shape[q + offset - (q > target)] = 2
+    return (2,) * s, ascending, tuple(shape)
+
+
 def _apply_gate_tensor(tensor: np.ndarray, g: Gate, offset: int, conjugate: bool) -> None:
     """Apply a gate in place to the tensor axes [offset, offset + n).
 
-    The block acts on the slice the controls select (the whole tensor when
-    there are none); a (2^s, d, d) stack applies block i where the block's
-    first s axes spell i.  ``conjugate`` selects the bra side of a density
-    matrix, where rho -> U rho U^dagger multiplies conj(U) into the bra indices.
+    ``tensor`` is C-contiguous.  A Hadamard is one matmul on the
+    (before, 2, after) view of its axis, or, for many short blocks, of the
+    (before, 2 * after) rows by H (x) 1_after.  A diagonal single-target block
+    (every QFT phase) scales the target half, or halves, it changes inside
+    the slice its controls select.  A MultiplexedRy rotates the target halves
+    by cosines and sines broadcast over its selector axes.  Any other block
+    multiplies the slice its controls select, targets moved first.
+    ``conjugate`` selects the bra side of a density matrix, where
+    rho -> U rho U^dagger multiplies conj(U) into the bra indices; H and Ry
+    are real.
     """
-    targets, block = _gate_block(g)
-    if conjugate:
-        block = block.conj()
-    controls = g.controls if isinstance(g, ControlledUnitary) else ()
-    idx, perm = _plan(tensor.ndim, targets, controls, offset)
+    ndim = tensor.ndim
+    if isinstance(g, Hadamard):
+        before, after = 2 ** (g.qubit + offset), 2 ** (ndim - 1 - g.qubit - offset)
+        # a single block is one matmul call already
+        if before > 1 and after <= _SHORT_ROWS:
+            rows = tensor.reshape(before, 2 * after)
+            np.matmul(rows, _hadamard_rows(after), out=rows)
+        else:
+            v = tensor.reshape(before, 2, after)
+            np.matmul(_H, v, out=v)
+        return
+    if isinstance(g, MultiplexedRy):
+        labels, ascending, shape = _selector_plan(ndim, g.selectors, g.target, offset)
+        half = g.angles.reshape(labels).transpose(ascending) / 2.0
+        c, s = np.cos(half).reshape(shape), np.sin(half).reshape(shape)
+        zero, one = _halves(ndim, g.target, (), offset)
+        a0, a1 = tensor[zero], tensor[one]
+        rotated0 = a0 * c
+        rotated0 -= a1 * s
+        a1 *= c
+        a1 += a0 * s
+        a0[...] = rotated0
+        return
+    m = g.matrix
+    if len(g.targets) == 1 and m.item(1) == 0 and m.item(2) == 0:
+        for half, d in zip(_halves(ndim, g.targets[0], g.controls, offset), (m.item(0), m.item(3))):
+            if d != 1:
+                tensor[half] *= d.conjugate() if conjugate else d
+        return
+    block = m.conj() if conjugate else m
+    idx, perm = _plan(ndim, g.targets, g.controls, offset)
     view = tensor[idx].transpose(perm)
-    stack = block.reshape(-1, *block.shape[-2:])
-    view[...] = (stack @ view.reshape(len(stack), block.shape[-1], -1)).reshape(view.shape)
+    view[...] = (block @ view.reshape(block.shape[0], -1)).reshape(view.shape)
 
 
 def run_circuit(state: PureState, c: Circuit) -> PureState:
@@ -175,7 +238,8 @@ def run_circuit(state: PureState, c: Circuit) -> PureState:
     return qcore._derived(PureState, qcore._freeze(tensor.reshape(-1)))
 
 
-def _qft_gates(t: int) -> list[Gate]:
+@functools.lru_cache(maxsize=None)
+def _qft_gates(t: int) -> tuple[Gate, ...]:
     """Quantum Fourier transform on qubits 0..t-1, without the final bit reversal.
 
     Hadamards with controlled phase gates.  Their matrix is
@@ -191,7 +255,13 @@ def _qft_gates(t: int) -> list[Gate]:
             phi = 2.0 * np.pi / 2 ** (j - i + 1)
             phase = qcore._freeze(np.array([[1.0, 0.0], [0.0, np.exp(1j * phi)]], dtype=complex))
             gates.append(qcore._derived(ControlledUnitary, ((j, 1),), (i,), phase))
-    return gates
+    return tuple(gates)
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_qft_gates(t: int) -> tuple[Gate, ...]:
+    """The inverse of ``_qft_gates(t)``: its gates inverted, in reverse order."""
+    return tuple(gate_inverse(g) for g in reversed(_qft_gates(t)))
 
 
 # ---------------------------------------------------------------------------

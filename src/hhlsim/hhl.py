@@ -96,10 +96,16 @@ def linear_system(a, b, *, normalize: bool = False) -> LinearSystem:
 ROTATION_MODES = ("linear", "exact")
 # clock labels within this of an integer count as exactly encoded
 ENCODING_ATOL = 1e-9
-# Largest final state, and largest circuit, a run may allocate: 2^n
-# amplitudes (pure) or 4^n entries (density), 16 bytes each; 256 MiB is a
-# 24-qubit state vector or a 12-qubit density matrix.
+# Most memory a final state, a run's working states or its circuit may take:
+# a final state is 2^n amplitudes (pure) or 4^n entries (density), 16 bytes
+# each; 256 MiB is a 24-qubit state vector or a 12-qubit density matrix.
 MAX_STATE_BYTES = 2**28
+# Peak memory of run_hhl above its input, in final states of its engine.
+# tracemalloc measured 3.64 states for a pure 16-qubit run (3.54 at 18) and
+# 3.42 densities for a noisy 8-qubit one (3.05 at 10), so a pure run takes
+# up to 22 qubits and a noisy one up to 11.
+PURE_PEAK_STATES = 4
+DENSITY_PEAK_STATES = 4
 
 
 def _is_positive_int(value) -> bool:
@@ -158,19 +164,27 @@ def _clock_labels(sys: LinearSystem, cfg: SolverConfig) -> tuple[np.ndarray, boo
     return nearest, bool(np.all(np.abs(k - nearest) <= ENCODING_ATOL))
 
 
-def _require_within_budget(sys: LinearSystem, cfg: SolverConfig, *, density: bool, circuit: bool) -> None:
-    """Reject a run whose final state, or circuit, would exceed MAX_STATE_BYTES.
-    Sizes are log2 of bytes (16 per entry), so a clock of any width is priced."""
+def _require_within_budget(sys: LinearSystem, cfg: SolverConfig, *, density: bool, run: bool) -> None:
+    """Reject a final state, or with ``run`` a whole run, that would exceed MAX_STATE_BYTES.
+
+    A run is charged its engine's peak, PURE_PEAK_STATES or
+    DENSITY_PEAK_STATES final states, and its circuit.  Sizes are log2 of
+    bytes (16 per entry), so a clock of any width is priced.
+    """
     t, nb = cfg.clock_qubits, sys.n_solution_qubits
     n = t + nb + 1
-    kind = "density matrix" if density else "state vector"
-    needs = {f"a {n}-qubit {kind}": 4 + (2 * n if density else n)}
-    if circuit:
+    kind = "density matrices" if density else "state vectors"
+    final = 4 + (2 * n if density else n)
+    if run:
+        peak = DENSITY_PEAK_STATES if density else PURE_PEAK_STATES
+        needs = {f"a run's {peak} {n}-qubit {kind}": final + math.log2(peak)}
         # 2t evolution blocks of 4^nb entries, in the QPE and its inverse; the 2^t angles are smaller than the state
         needs[f"a {t}-qubit clock's circuit"] = 5 + 2 * nb + math.log2(t)
+    else:
+        needs = {f"a {n}-qubit final state": final}
     for what, bits in needs.items():
         if bits > math.log2(MAX_STATE_BYTES):
-            raise RegisterTooWide(f"{what} needs 2^{bits:.6g} bytes, over the {MAX_STATE_BYTES}-byte budget")
+            raise RegisterTooWide(f"{what} would take 2^{bits:.6g} bytes, over the {MAX_STATE_BYTES}-byte budget")
 
 
 def conditional_evolution(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
@@ -186,14 +200,14 @@ def conditional_evolution(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
     return [qcore._derived(ControlledUnitary, ((q, 1),), targets, u) for q, u in enumerate(powers)]
 
 
-def _qpe_gates(sys: LinearSystem, cfg: SolverConfig) -> list[Gate]:
+def _qpe_gates(sys: LinearSystem, cfg: SolverConfig) -> tuple[Gate, ...]:
     """Phase estimation: clock superposition, conditional evolution, QFT.
 
     The QFT has no bit reversal, so eigenvalue label k is left on the clock
     least significant bit first, as MultiplexedRy reads its selectors.
     """
     t = cfg.clock_qubits
-    return [Hadamard(q) for q in range(t)] + conditional_evolution(sys, cfg) + qcirc._qft_gates(t)
+    return (*(Hadamard(q) for q in range(t)), *conditional_evolution(sys, cfg), *qcirc._qft_gates(t))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +267,7 @@ def resolve_config(sys: LinearSystem, cfg: SolverConfig) -> SolverConfig:
     The one place a config meets a system; the pipeline stages take its
     result as given.  A clock too wide for any final state raises RegisterTooWide.
     """
-    _require_within_budget(sys, cfg, density=False, circuit=False)
+    _require_within_budget(sys, cfg, density=False, run=False)
     if cfg.rotation_mode == "exact":
         lam_min = float(sys.spectrum.eigenvalues.min())
         if cfg.c_tilde is not None and cfg.c_tilde > lam_min + 1e-9:
@@ -277,13 +291,16 @@ def build_circuit(sys: LinearSystem, cfg: SolverConfig) -> Circuit:
     t, nb = cfg.clock_qubits, sys.n_solution_qubits
     n = t + nb + 1
     qpe = _qpe_gates(sys, cfg)
-    gates = qpe + _inversion_gates(sys, cfg) + [qcirc.gate_inverse(g) for g in reversed(qpe)]
+    # qpe ends with the QFT, whose inverse is cached per clock width; the rest is undone gate by gate
+    prep = qpe[: len(qpe) - len(qcirc._qft_gates(t))]
+    uncompute = (*qcirc._inverse_qft_gates(t), *(qcirc.gate_inverse(g) for g in reversed(prep)))
+    gates = (*qpe, *_inversion_gates(sys, cfg), *uncompute)
     registers = {
         "clock": tuple(range(t)),
         "b": tuple(range(t, t + nb)),
         "ancilla": (n - 1,),
     }
-    return qcore._derived(Circuit, n, tuple(gates), registers)
+    return qcore._derived(Circuit, n, gates, registers)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +422,10 @@ def run_hhl(
     metric is read from them: the mass on clock label 0, <a|rho|a> for the
     ideal clock-0 [b | ancilla] block a, Tr rho^2, and the clock-traced
     [b | ancilla] state, whose ancilla = 1 block gives x_quantum.  Raises
-    RegisterTooWide before building anything when the final state or the
-    circuit would exceed MAX_STATE_BYTES.
+    RegisterTooWide before building anything when the engine's peak, or
+    the circuit, would exceed MAX_STATE_BYTES.
     """
-    _require_within_budget(sys, cfg, density=noise_builder is not None, circuit=True)
+    _require_within_budget(sys, cfg, density=noise_builder is not None, run=True)
     cfg = resolve_config(sys, cfg)
     c = build_circuit(sys, cfg)
     t = cfg.clock_qubits

@@ -206,8 +206,10 @@ def random_unitary(rng, dim):
 
 def random_layout_gate(rng, n):
     """A gate of any kind on random qubits: controlled blocks with controls before,
-    between and after their targets, and multiplexed rotations with shuffled selectors."""
-    kind = int(rng.integers(0, 4 if n >= 2 else 2))
+    between and after their targets, diagonal single-target blocks (as the QFT's
+    phases) with and without controls, and multiplexed rotations with up to four
+    shuffled selectors."""
+    kind = int(rng.integers(0, 5 if n >= 2 else 3))
     if kind == 0:
         return qc.Hadamard(int(rng.integers(n)))
     qubits = [int(q) for q in rng.permutation(n)]
@@ -215,12 +217,19 @@ def random_layout_gate(rng, n):
         k = int(rng.integers(1, min(3, n) + 1))
         controls = tuple((q, int(rng.integers(2))) for q in qubits[k:][: int(rng.integers(0, n - k + 1))])
         return qc.ControlledUnitary(controls, tuple(qubits[:k]), random_unitary(rng, 2**k))
-    if kind == 2 and n >= 5:
+    if kind == 2:
+        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=2))
+        if rng.integers(2):
+            # a QFT phase leaves the target's 0 half as it is
+            phases[0] = 1.0
+        controls = tuple((q, int(rng.integers(2))) for q in qubits[1:][: int(rng.integers(0, n))])
+        return qc.ControlledUnitary(controls, (qubits[0],), np.diag(phases))
+    if kind == 3 and n >= 5:
         # targets non-adjacent and out of order, one control before, between and after them
         p = sorted(int(q) for q in rng.choice(n, size=5, replace=False))
         controls = tuple((q, int(rng.integers(2))) for q in (p[4], p[0], p[2]))
         return qc.ControlledUnitary(controls, (p[3], p[1]), random_unitary(rng, 4))
-    s = int(rng.integers(1, min(3, n - 1) + 1))
+    s = int(rng.integers(1, min(4, n - 1) + 1))
     return qc.MultiplexedRy(qubits[:s], qubits[s], rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=2**s))
 
 

@@ -24,6 +24,17 @@ def demo_system(b):
     return hhl.linear_system(A_DEMO, b, normalize=True)
 
 
+def traced_peak(f, *args, **kwargs):
+    """Bytes that ``f(*args, **kwargs)`` allocates at its peak, above what was allocated before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def encodable_system(rng, dim):
     """Random Hermitian system with eigenvalues drawn from {1, 2, 3}."""
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
@@ -653,19 +664,14 @@ class TestPureRunStaysStateVector:
         assert report.fidelity_4q == 1.0
         assert qcore.fidelity(hhl.theoretical_final_state(s, cfg).density(), report.final_state.density()) == 1.0
 
-    def test_sixteen_qubit_run_peaks_under_five_and_a_half_states(self):
+    def test_sixteen_qubit_run_peaks_under_four_states(self):
         s = demo_system([0.6, 0.8])
         cfg = hhl.SolverConfig(clock_qubits=14, rotation_mode="exact")
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            hhl.run_hhl(s, cfg)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
         # the input, the evolved copy and the gate kernels' transients; the ideal
         # state is a clock-0 block, not a second full state
-        assert peak <= 5.5 * 16 * 2**16
+        peak = traced_peak(hhl.run_hhl, s, cfg)
+        assert peak <= 4 * 16 * 2**16
+        assert peak <= hhl.PURE_PEAK_STATES * 16 * 2**16
 
     def test_sixteen_qubit_exact_solve(self):
         s = encodable_system(np.random.default_rng(16), 16)
@@ -762,11 +768,11 @@ class TestEngineValuesAreNotRechecked:
 
 class TestStateBudget:
     # Widest demo registers (one solution qubit, one ancilla) that fit.  A
-    # pure run is bound by its 2^n * 16-byte final state (its circuit,
-    # 2t * 64 bytes of evolution blocks and 2^t angles, is smaller), a
-    # noisy run by its 4^n * 16-byte final state.
-    PURE_MAX = 24
-    DENSITY_MAX = int(np.log2(hhl.MAX_STATE_BYTES // 16)) // 2
+    # pure run is bound by its peak of PURE_PEAK_STATES 2^n * 16-byte states
+    # (its circuit, 2t * 64 bytes of evolution blocks and 2^t angles, is
+    # smaller), a noisy run by DENSITY_PEAK_STATES 4^n * 16-byte densities.
+    PURE_MAX = int(np.log2(hhl.MAX_STATE_BYTES // (16 * hhl.PURE_PEAK_STATES)))
+    DENSITY_MAX = int(np.log2(hhl.MAX_STATE_BYTES // (16 * hhl.DENSITY_PEAK_STATES))) // 2
 
     @pytest.fixture
     def no_build(self, monkeypatch):
@@ -796,6 +802,30 @@ class TestStateBudget:
         wide = hhl.linear_system(np.eye(1024), np.eye(1024)[0])
         with pytest.raises(RegisterTooWide, match="circuit"):
             hhl.run_hhl(wide, hhl.SolverConfig(clock_qubits=9))
+
+    def test_resolve_config_prices_the_final_state_alone(self):
+        # one 24-qubit state vector is the whole 256 MiB budget; a run's peak is four of them
+        s = demo_system([1.0, 0.0])
+        hhl.resolve_config(s, hhl.SolverConfig(clock_qubits=22))
+        with pytest.raises(RegisterTooWide):
+            hhl.resolve_config(s, hhl.SolverConfig(clock_qubits=23))
+        with pytest.raises(RegisterTooWide):
+            hhl.run_hhl(s, hhl.SolverConfig(clock_qubits=22))
+
+    def test_noisy_eight_qubit_run_stays_within_the_density_factor(self):
+        s = encodable_system(np.random.default_rng(8), 4)
+        cfg = hhl.SolverConfig(clock_qubits=5, rotation_mode="exact")
+
+        def builder(c):
+            return qc.dephasing_schedule(c, 50.0, 500.0) + qc.pulse_error_schedule(c, 0.001)
+
+        density = 16 * 4**8
+        assert traced_peak(hhl.run_hhl, s, cfg, noise_builder=builder) <= hhl.DENSITY_PEAK_STATES * density
+        report = hhl.run_hhl(s, cfg, noise_builder=builder)
+        rho, c = report.final_density, report.circuit
+        assert rho.n_qubits == 8
+        # evolve_density alone: its copy and the kernels' transients, without run_hhl's input density
+        assert traced_peak(qc.evolve_density, rho, c, builder(c)) <= (hhl.DENSITY_PEAK_STATES - 1) * density
 
     def test_forty_clock_qubits_rejected(self, no_build):
         with pytest.raises(RegisterTooWide):

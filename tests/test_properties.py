@@ -5,8 +5,9 @@ random states and line positions, and a fuzzer over the shipped configs.
 
 Each system is A = Q diag(lambda) Q^dagger with a random unitary Q and
 integer eigenvalues lambda_j, so at t0 = 2*pi every eigenvalue sits exactly
-on its clock label.  The examples are derandomized and no example database
-is kept, so a run is reproducible.
+on its clock label; off that grid, a closed-form spectral oracle gives the
+pipeline's whole final state.  The examples are derandomized and no example
+database is kept, so a run is reproducible.
 """
 
 import contextlib
@@ -196,6 +197,65 @@ def test_noiseless_density_run_reads_like_the_pure_run(t, data, t0_scale, mode):
     for name in ("success_probability", "clock_residual", "fidelity_4q"):
         assert abs(getattr(mixed, name) - getattr(pure, name)) < 1e-12, name
     assert np.max(np.abs(mixed.x_quantum - pure.x_quantum)) < 1e-12
+
+
+def spectral_final_state(lam, q, b, cfg):
+    """The pipeline's pre-measurement state in closed form, for any spectrum.
+
+    A's eigenbasis block-diagonalizes the circuit: on eigenvector u_j it acts
+    on clock and ancilla alone, as W_j = QPE_j^dagger R QPE_j (Cleve et al.,
+    quant-ph/9708016; Harrow, Hassidim & Lloyd, arXiv:0811.3171).  With
+    T = 2^t, clock index kappa (qubit 0 most significant) and
+    phi_j = lambda_j t0 / 2pi, QPE_j takes |kappa> to label m, stored least
+    significant bit first, with amplitude
+    G_j[m, kappa] = T^-1 sum_tau (-1)^(kappa . tau) exp(2 pi i tau (m - phi_j) / T),
+    and R turns the ancilla by the angle of label m.  ``cfg`` is resolved.
+    """
+    t = cfg.clock_qubits
+    big_t = 2**t
+    tau = np.arange(big_t)
+    bits = (tau[:, None] >> np.arange(t)) & 1
+    signs = (-1.0) ** (bits @ bits.T)
+    # label m >= 1 stands for the eigenvalue 2 pi m / t0; label 0 does not turn
+    lam_m = 2.0 * np.pi * tau[1:] / cfg.t0
+    if cfg.rotation_mode == "linear":
+        theta = (2.0 * np.pi / 2**cfg.r) / lam_m
+    else:
+        sin_half = cfg.c_tilde / lam_m
+        theta = np.where(sin_half > 1.0 + hhl.ENCODING_ATOL, 0.0, 2.0 * np.arcsin(np.minimum(sin_half, 1.0)))
+    theta = np.concatenate(([0.0], theta))
+    turn = np.stack([np.cos(theta / 2.0), np.sin(theta / 2.0)], axis=1)
+    beta = q.conj().T @ b
+    out = np.zeros((big_t, len(b), 2), dtype=complex)
+    for j, lam_j in enumerate(lam):
+        phi = lam_j * cfg.t0 / (2.0 * np.pi)
+        g = np.exp(2j * np.pi * np.outer(tau - phi, tau) / big_t) @ signs / big_t
+        w = g.conj().T @ (g[:, :1] * turn)
+        out += beta[j] * q[:, j][None, :, None] * w[:, None, :]
+    return out.ravel()
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+@PROPERTY_SETTINGS
+@given(st.data(), st.floats(0.7, 1.3), st.sampled_from(hhl.ROTATION_MODES))
+def test_off_grid_run_matches_the_spectral_closed_form(t, data, t0_scale, mode):
+    # off the label grid every clock label carries amplitude, so each entry of
+    # the inversion's angle table, and every QFT phase, shows in the result
+    system, cfg, lam, q = data.draw(encodable_systems(max_clock_qubits=t, min_clock_qubits=t))
+    t0 = 2.0 * np.pi * t0_scale
+    phi = lam * t0_scale
+    if np.all(np.abs(phi - np.round(phi)) <= hhl.ENCODING_ATOL):
+        reject()
+    try:
+        cfg = hhl.resolve_config(system, replace(cfg, t0=t0, rotation_mode=mode))
+        report = hhl.run_hhl(system, cfg)
+    except (EigenvalueNotEncodable, ZeroProbabilityBranch):
+        reject()
+    expected = spectral_final_state(lam, q, system.b, cfg)
+    assert np.max(np.abs(report.final_state.amplitudes - expected)) < 1e-12
+    v = expected.reshape(2**t, -1, 2)
+    assert abs(report.success_probability - np.sum(np.abs(v[..., 1]) ** 2)) < 1e-12
+    assert abs(report.clock_residual - (1.0 - np.sum(np.abs(v[0]) ** 2))) < 1e-12
 
 
 @st.composite
